@@ -78,7 +78,6 @@ from .linalg import (
     approx_equal,
     dagger,
     tensor,
-    tensor_all,
 )
 from .observables import (
     GROUP_FLAVOUR,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import linalg, serialize
+from . import linalg, serialize, sync
 from .clock import make_clock, verify_strong_complementarity
 from .dynamics import (
     hamiltonian,
@@ -72,6 +72,8 @@ def _report_doc(command: str, report: Report, extra: dict | None = None) -> dict
 
 
 def _cmd_axioms(args) -> tuple[dict, bool]:
+    if args.N < 1:
+        raise InputFormatError("N", f"expected a positive integer, got {args.N}")
     report = verify_strong_complementarity(make_clock(args.N), Tolerance(args.tol))
     return _report_doc("axioms", report, {"N": args.N}), report.passed
 
@@ -84,21 +86,15 @@ def _cmd_dynamic(args) -> tuple[dict, bool]:
     spectrum = spectrum_checks(spec, tol)
     ergodic = max_abs_diff(time_average(d), spectral_projector(d, 0))
     stone = max_abs_diff(stone_reconstruct(spec).unitaries, d.unitaries)
-    extras = Report(
-        title="spectral round trips",
-        checks=(
-            Check("ergodic_average_is_ground_projector", ergodic, args.tol),
-            Check("stone_round_trip", stone, args.tol),
-        ),
+    extras = (
+        Check("ergodic_average_is_ground_projector", ergodic, args.tol),
+        Check("stone_round_trip", stone, args.tol),
     )
     merged = Report(
         title=f"dynamic verification (N={d.N}, dim={d.dim})",
-        checks=axioms.checks + spectrum.checks + extras.checks,
+        checks=axioms.checks + spectrum.checks + extras,
     )
-    ranks = {
-        str(E): int(round(float(np.trace(spec.projectors[E]).real)))
-        for E in spec.support
-    }
+    ranks = {str(E): r for E, r in spec.ranks.items()}
     doc = _report_doc(
         "dynamic",
         merged,
@@ -139,6 +135,8 @@ def _parse_sync_file(doc, tol: float):
         psi = serialize.vector_from_json(psi_doc, f"systems[{i}].psi")
         if psi.shape[0] != d.dim:
             raise InputFormatError(f"systems[{i}].psi", f"expected dim {d.dim}")
+        if np.linalg.norm(psi) <= sync.ZERO_NORM:
+            raise InputFormatError(f"systems[{i}].psi", "zero norm; not a state")
         ds.append(d)
         psis.append(psi)
     measures = doc.get("measure", [])
@@ -153,6 +151,8 @@ def _parse_sync_file(doc, tol: float):
             raise InputFormatError(
                 f"measure[{i}]", "expected {'system': int, 'energy': int}"
             )
+        if len(ds) < 2:
+            raise InputFormatError(f"measure[{i}]", "needs at least two systems")
         if not (0 <= mdoc["system"] < len(ds)):
             raise InputFormatError(f"measure[{i}].system", "index out of range")
         if not (0 <= mdoc["energy"] < N):
@@ -261,8 +261,11 @@ def main(argv: list[str] | None = None) -> int:
     if not args.self_test and args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_INPUT_ERROR
-    if args.tol <= 0 or args.tol >= 1:
+    if not 0 < args.tol < 1:
         print("error: --tol must lie in (0, 1)", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if args.max_dim < 1:
+        print("error: --max-dim must be a positive integer", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
     linalg.set_max_entries(args.max_dim)

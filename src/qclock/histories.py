@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .clock import character_matrix
 from .dynamics import UnitaryDynamic, hamiltonian
 from .errors import ShapeMismatchError
 from .linalg import DEFAULT_TOL, Tolerance, as_tolerance
@@ -76,6 +75,5 @@ def schrodinger_solve(d: UnitaryDynamic, psi) -> SpectralSolution:
 
 def reconstruct_history(s: SpectralSolution) -> History:
     """Resum components into the trajectory psi_t = sum_E chi_E(t) psi_E."""
-    chars = character_matrix(s.N)  # chars[t, E]
-    states = chars @ s.components
+    states = np.fft.ifft(s.components, axis=0) * s.N
     return History(N=s.N, dim=s.dim, states=states)

@@ -9,7 +9,7 @@ system-with-clock space orders its basis as ``system_index * N + time``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -91,17 +91,6 @@ def tensor(a, b) -> np.ndarray:
     a, b = as_matrix(a), as_matrix(b)
     check_entries(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
     return np.kron(a, b)
-
-
-def tensor_all(ops: Iterable) -> np.ndarray:
-    """Left-fold Kronecker product of a nonempty sequence."""
-    ops = list(ops)
-    if not ops:
-        raise ValueError("tensor_all of an empty sequence")
-    out = as_matrix(ops[0])
-    for op in ops[1:]:
-        out = tensor(out, op)
-    return out
 
 
 def dagger(a) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Literal
 import numpy as np
 
 from . import linalg
-from .clock import ClockStructures, character_matrix, make_clock
+from .clock import ClockStructures, make_clock
 from .dynamics import ProjectionSpectrum, UnitaryDynamic, hamiltonian
 from .errors import (
     DistributionError,
@@ -71,11 +71,9 @@ def observable_from_spectrum(
         raise IncompleteSpectrumError(
             f"projectors sum to identity only within {err:.3e}"
         )
-    chars = character_matrix(s.N)  # chars[t, E]
-    # map[h*N + t, h'] = sum_E P_E[h, h'] * conj(chi_E(t))
-    m = np.einsum("ehk,te->htk", s.projectors, chars.conj()).reshape(
-        s.dim * s.N, s.dim
-    )
+    # map[h*N + t, h'] = sum_E P_E[h, h'] * conj(chi_E(t)), a forward FFT over E
+    blocks = np.fft.fft(s.projectors, axis=0)
+    m = np.transpose(blocks, (1, 0, 2)).reshape(s.dim * s.N, s.dim)
     return Observable(N=s.N, dim=s.dim, map=m, flavour=GROUP_FLAVOUR)
 
 
@@ -145,7 +143,7 @@ def demolition_measurement(
     raw = (o.map @ psi).reshape(o.dim, o.N)
     clock_leg = psi.conj() @ raw  # length-N vector on the clock factor
     if o.flavour == GROUP_FLAVOUR:
-        weights = (character_matrix(o.N).T @ clock_leg) / o.N
+        weights = np.fft.ifft(clock_leg)
     else:
         weights = clock_leg
 
@@ -171,15 +169,20 @@ def weyl_ccr_check(
     t over the (time-valued) support of the second's.  Degenerate
     restrictions are noted in the report.
     """
+    _check_pair(dU, dV)
+    return _weyl(dU, dV, hamiltonian(dU).support, hamiltonian(dV).support, tol)
+
+
+def _check_pair(dU: UnitaryDynamic, dV: UnitaryDynamic) -> None:
     if dU.dim != dV.dim or dU.N != dV.N:
         raise ShapeMismatchError(
             f"families on (N={dU.N}, dim={dU.dim}) vs (N={dV.N}, dim={dV.dim})"
         )
+
+
+def _weyl(dU, dV, e_support, t_support, tol: Tolerance | float) -> Report:
     eps = as_tolerance(tol).eps
     N = dU.N
-    e_support = hamiltonian(dU).support
-    t_support = hamiltonian(dV).support
-
     err = 0.0
     for t in t_support:
         U_t = dU.unitaries[t]
@@ -213,25 +216,21 @@ def uncertainty_check(
     their (unique) eigenstate; higher-rank ones a random unit vector, since
     the statement quantifies over all eigenstates.
     """
-    if dU.dim != dV.dim or dU.N != dV.N:
-        raise ShapeMismatchError(
-            f"families on (N={dU.N}, dim={dU.dim}) vs (N={dV.N}, dim={dV.dim})"
-        )
+    _check_pair(dU, dV)
     eps = as_tolerance(tol).eps
     rng = rng or np.random.default_rng(0)
     N = dU.N
     cs = make_clock(N)
-    obs = observable_from_spectrum(hamiltonian(dU), cs)
-    spec_v = hamiltonian(dV)
+    spec_u, spec_v = hamiltonian(dU), hamiltonian(dV)
+    obs = observable_from_spectrum(spec_u, cs)
 
-    weyl = weyl_ccr_check(dU, dV, tol)
+    weyl = _weyl(dU, dV, spec_u.support, spec_v.support, tol)
     checks = [Check("weyl_precondition", weyl.max_error, eps)]
     notes = list(weyl.notes)
 
     uniform = np.full(N, 1.0 / N)
-    for label in spec_v.support:
+    for label, rank in spec_v.ranks.items():
         p = spec_v.projectors[label]
-        rank = int(round(float(np.trace(p).real)))
         if rank == 1:
             col = int(np.argmax(np.linalg.norm(p, axis=0)))
             psi = p[:, col]

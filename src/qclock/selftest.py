@@ -92,10 +92,8 @@ def _conservation_suite(rng: np.random.Generator, eps: float) -> list[Check]:
         psis = [sampling.random_state(d.dim, rng) for d in ds]
         chi = int(rng.integers(0, N))
         err_collapse = max(err_collapse, clock_energy_collapse(ds, psis, chi).residual)
-        spec = hamiltonian(ds[-1])
-        for E in spec.support:
-            if int(round(float(np.trace(spec.projectors[E]).real))) != 1:
-                continue
+        rank1 = [E for E, rank in hamiltonian(ds[-1]).ranks.items() if rank == 1]
+        for E in rank1:
             try:
                 res = subsystem_energy_measure(ds, psis, chi, M - 1, E)
             except OrthogonalEigenstateError:

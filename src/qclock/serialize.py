@@ -8,6 +8,7 @@ Python's shortest round-trip float repr (at most 17 significant digits).
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 import numpy as np
@@ -37,8 +38,9 @@ def _complex_from_json(obj: Any, field: str) -> complex:
         not isinstance(obj, (list, tuple))
         or len(obj) != 2
         or not all(isinstance(x, (int, float)) for x in obj)
+        or not all(abs(x) <= sys.float_info.max for x in obj)  # no NaN, no inf
     ):
-        raise InputFormatError(field, f"expected [re, im], got {obj!r}")
+        raise InputFormatError(field, f"expected finite [re, im], got {obj!r}")
     return complex(float(obj[0]), float(obj[1]))
 
 

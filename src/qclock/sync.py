@@ -22,6 +22,7 @@ import numpy as np
 from . import linalg
 from .clock import ClockStructures, make_clock
 from .dynamics import (
+    ProjectionSpectrum,
     UnitaryDynamic,
     hamiltonian,
     validate_dynamic,
@@ -138,18 +139,38 @@ def conundrum_check(
     )
 
 
-def _projected_components(ds: Sequence[UnitaryDynamic], psis) -> list[np.ndarray]:
+def _family_components(ds, psis, chi: int, specs) -> list[np.ndarray]:
     """Per-system stacks c_j[E] = P_E psi_j, each of shape (N, dim_j)."""
+    if not ds:
+        raise ValueError("family needs at least one system")
+    N = ds[0].N
+    if any(d.N != N for d in ds):
+        raise ShapeMismatchError("all family members must share the clock size N")
+    if not (0 <= chi < N):
+        raise ValueError(f"total energy {chi} outside [0, {N})")
     out = []
-    for d, psi in zip(ds, psis):
+    for d, spec, psi in zip(ds, specs, psis):
         psi = linalg.as_vector(psi)
         if psi.shape[0] != d.dim:
             raise ShapeMismatchError(
                 f"state of dim {psi.shape[0]}, dynamic on dim {d.dim}"
             )
-        spec = hamiltonian(d)
         out.append(np.einsum("eij,j->ei", spec.projectors, psi))
     return out
+
+
+def _family_amplitudes(comps: Sequence[np.ndarray], chi: int) -> np.ndarray:
+    """sum over (E_1..E_M), sum E_j = chi (mod N), of (x)_j comps[j][E_j]."""
+    N = comps[0].shape[0]
+    total = np.zeros(int(np.prod([c.shape[1] for c in comps])), dtype=np.complex128)
+    for labels in itertools.product(range(N), repeat=len(comps)):
+        if sum(labels) % N != chi:
+            continue
+        term = comps[0][labels[0]]
+        for j in range(1, len(comps)):
+            term = np.kron(term, comps[j][labels[j]])
+        total += term
+    return total
 
 
 def synchronized_family(
@@ -160,24 +181,9 @@ def synchronized_family(
     amplitudes = sum over (E_1..E_M), sum E_j = chi (mod N), of
     (x)_j P_{E_j} psi_j.
     """
-    if not ds:
-        raise ValueError("family needs at least one system")
-    N = ds[0].N
-    if any(d.N != N for d in ds):
-        raise ShapeMismatchError("all family members must share the clock size N")
-    if not (0 <= chi < N):
-        raise ValueError(f"total energy {chi} outside [0, {N})")
-    comps = _projected_components(ds, psis)
+    comps = _family_components(ds, psis, chi, [hamiltonian(d) for d in ds])
     dims = tuple(d.dim for d in ds)
-    total = np.zeros(int(np.prod(dims)), dtype=np.complex128)
-    for labels in itertools.product(range(N), repeat=len(ds)):
-        if sum(labels) % N != chi:
-            continue
-        term = comps[0][labels[0]]
-        for j in range(1, len(ds)):
-            term = np.kron(term, comps[j][labels[j]])
-        total += term
-    return SyncState(factor_dims=dims, amplitudes=total)
+    return SyncState(factor_dims=dims, amplitudes=_family_amplitudes(comps, chi))
 
 
 def separable_dynamic(ds: Sequence[UnitaryDynamic]) -> UnitaryDynamic:
@@ -199,13 +205,13 @@ def separable_dynamic(ds: Sequence[UnitaryDynamic]) -> UnitaryDynamic:
 
 
 def _proportionality_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - |<a,b>| / (|a||b|); 0 if both vanish, 1 if exactly one does."""
+    """1 - |<a,b>| / (|a||b|) clamped at 0; 0 if both vanish, 1 if one does."""
     na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
     if na <= ZERO_NORM and nb <= ZERO_NORM:
         return 0.0
     if na <= ZERO_NORM or nb <= ZERO_NORM:
         return 1.0
-    return 1.0 - abs(np.vdot(a, b)) / (na * nb)
+    return max(0.0, 1.0 - abs(np.vdot(a, b)) / (na * nb))
 
 
 def clock_energy_collapse(
@@ -263,9 +269,9 @@ def subsystem_energy_measure(
     remaining systems with total energy chi - Eprime mod N.
     """
     N = ds[0].N
-    spec_j = hamiltonian(ds[j])
-    p = spec_j.projectors[Eprime % N]
-    rank = int(round(float(np.trace(p).real)))
+    specs = [hamiltonian(d) for d in ds]
+    p = specs[j].projectors[Eprime % N]
+    rank = specs[j].ranks.get(Eprime % N, 0)
     if rank != 1:
         raise DegenerateError(
             f"system {j} has rank-{rank} projector at energy {Eprime}"
@@ -279,15 +285,16 @@ def subsystem_energy_measure(
             f"eigenstate at energy {Eprime} is orthogonal to the state of system {j}"
         )
 
-    family = synchronized_family(ds, psis, chi)
-    dims = family.factor_dims
-    tensor_form = family.amplitudes.reshape(dims)
+    comps = _family_components(ds, psis, chi, specs)
+    dims = tuple(d.dim for d in ds)
+    tensor_form = _family_amplitudes(comps, chi).reshape(dims)
     contracted = np.tensordot(phi.conj(), tensor_form, axes=([0], [j])).reshape(-1)
 
-    rest_ds = [d for i, d in enumerate(ds) if i != j]
-    rest_psis = [p_ for i, p_ in enumerate(psis) if i != j]
-    expected = synchronized_family(rest_ds, rest_psis, (chi - Eprime) % N)
-    residual = _proportionality_residual(contracted, expected.amplitudes)
+    rest = comps[:j] + comps[j + 1 :]
+    if not rest:
+        raise ValueError("family needs at least one system")
+    expected = _family_amplitudes(rest, (chi - Eprime) % N)
+    residual = _proportionality_residual(contracted, expected)
     return MeasureResult(
         state=SyncState(
             factor_dims=tuple(d for i, d in enumerate(dims) if i != j),
@@ -300,20 +307,18 @@ def subsystem_energy_measure(
 
 def is_nondegenerate(d: UnitaryDynamic) -> bool:
     """True iff every supported projector has rank 1 and they number dim."""
-    spec = hamiltonian(d)
-    if len(spec.support) != d.dim:
-        return False
-    for E in spec.support:
-        if int(round(float(np.trace(spec.projectors[E]).real))) != 1:
-            return False
-    return True
+    return _is_nondegenerate(hamiltonian(d))
+
+
+def _is_nondegenerate(spec: ProjectionSpectrum) -> bool:
+    return len(spec.support) == spec.dim and set(spec.ranks.values()) == {1}
 
 
 def demolition_hamiltonian(d: UnitaryDynamic) -> list[tuple[np.ndarray, int]]:
     """One normalised eigenvector per supported energy, labels injective."""
-    if not is_nondegenerate(d):
-        raise DegenerateError("dynamic has a degenerate energy level")
     spec = hamiltonian(d)
+    if not _is_nondegenerate(spec):
+        raise DegenerateError("dynamic has a degenerate energy level")
     return [(_rank1_eigvec(spec.projectors[E]), E) for E in spec.support]
 
 

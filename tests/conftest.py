@@ -29,3 +29,19 @@ def random_family():
         psi = sampling.random_state(dim, rng)
         family.append((d, psi))
     return family
+
+
+def count_spectra(monkeypatch, module):
+    """Count hamiltonian calls made through ``module``, keyed by dynamic."""
+    from collections import Counter
+
+    from qclock import dynamics
+
+    calls = Counter()
+
+    def counting(d, *args, **kwargs):
+        calls[id(d)] += 1
+        return dynamics.hamiltonian(d, *args, **kwargs)
+
+    monkeypatch.setattr(module, "hamiltonian", counting)
+    return calls

@@ -165,3 +165,64 @@ def test_no_command_is_usage_error():
 
 def test_bad_tol_rejected():
     assert run_cli("--tol", "2.0", "axioms", "2").returncode == 2
+
+
+def _assert_input_error(proc: subprocess.CompletedProcess, field: str) -> None:
+    assert proc.returncode == 2
+    assert field in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+X_JSON = "[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]"
+HUGE = "1" + "0" * 400  # an integer beyond the double range
+
+
+@pytest.mark.parametrize(
+    "command, text, field",
+    [
+        ("dynamic", '{"N": 2, "generator": [[[NaN, 0], [1, 0]], [[1, 0], [0, 0]]]}', "generator[0][0]"),
+        ("dynamic", '{"N": 1, "unitaries": [[[[Infinity, 0]]]]}', "unitaries[0][0][0]"),
+        ("feynman", '{"N": 1, "gates": [[[[1, -Infinity]]]]}', "gates[0][0][0]"),
+        ("feynman", '{"N": 1, "gates": [[[[%s, 0]]]]}' % HUGE, "gates[0][0][0]"),
+        (
+            "sync",
+            '{"N": 2, "systems": [{"generator": %s, "psi": [[1, 0], [0, NaN]]}]}' % X_JSON,
+            "systems[0].psi[1]",
+        ),
+    ],
+)
+def test_non_finite_entry_is_input_error(tmp_path, command, text, field):
+    path = tmp_path / "nonfinite.json"
+    path.write_text(text)  # Python's json reads NaN, Infinity and -Infinity
+    _assert_input_error(run_cli(command, str(path)), field)
+
+
+@pytest.mark.parametrize("N", ["0", "-3"])
+def test_axioms_nonpositive_size_is_input_error(N):
+    _assert_input_error(run_cli("axioms", N), "'N'")
+
+
+def test_max_dim_zero_is_input_error():
+    _assert_input_error(run_cli("--max-dim", "0", "axioms", "2"), "--max-dim")
+
+
+def test_nan_tol_rejected():
+    _assert_input_error(run_cli("--tol", "nan", "axioms", "2"), "--tol")
+
+
+def _sync_file(tmp_path: Path, psis, measure=()) -> Path:
+    systems = [{"generator": matrix_to_json(X), "psi": vector_to_json(p)} for p in psis]
+    doc = {"N": 2, "chi": 0, "systems": systems, "measure": list(measure)}
+    path = tmp_path / "sync.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_sync_zero_state_is_input_error(tmp_path):
+    path = _sync_file(tmp_path, [np.array([1, 0]), np.zeros(2)])
+    _assert_input_error(run_cli("sync", str(path)), "systems[1].psi")
+
+
+def test_sync_measure_needs_two_systems(tmp_path):
+    path = _sync_file(tmp_path, [np.array([1, 0])], [{"system": 0, "energy": 0}])
+    _assert_input_error(run_cli("sync", str(path)), "measure[0]")

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import X, Z, phase_matrix, shift_matrix
+from conftest import X, Z, count_spectra, phase_matrix, shift_matrix
+from qclock import observables
 from qclock.clock import Character, character_vector, make_clock
 from qclock.dynamics import (
     ProjectionSpectrum,
@@ -194,3 +195,12 @@ def test_negative_weight_detection():
     bad = Observable(N=2, dim=2, map=bad_map.astype(complex), flavour=GROUP_FLAVOUR)
     with pytest.raises(DistributionError):
         demolition_measurement(bad, [1, 0])
+
+
+def test_unbiasedness_computes_each_spectrum_once(monkeypatch):
+    calls = count_spectra(monkeypatch, observables)
+    N = 5
+    dU = dynamic_from_generator(shift_matrix(N), N)
+    dV = dynamic_from_generator(phase_matrix(N), N)
+    assert uncertainty_check(dU, dV).passed
+    assert sorted(calls.values()) == [1, 1]

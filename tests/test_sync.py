@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import X
+from conftest import X, count_spectra
+from qclock import sync
 from qclock import sampling
 from qclock.clock import make_clock
 from qclock.dynamics import (
@@ -315,3 +316,26 @@ def test_separable_dynamic_is_kron_of_factors():
     comp = separable_dynamic([d1, d2])
     for t in range(3):
         assert np.allclose(comp.unitaries[t], np.kron(d1.unitaries[t], d2.unitaries[t]))
+
+
+def test_proportionality_residual_is_never_negative():
+    rng = np.random.default_rng(2)
+    raw_negative = 0
+    for _ in range(400):
+        a = rng.normal(size=32) + 1j * rng.normal(size=32)
+        b = complex(rng.normal(), rng.normal()) * a
+        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        raw_negative += 1.0 - abs(np.vdot(a, b)) / (na * nb) < 0.0
+        assert sync._proportionality_residual(a, b) >= 0.0
+    assert raw_negative > 0  # the unclamped formula does dip below zero
+
+
+def test_each_spectrum_computed_once(monkeypatch):
+    calls = count_spectra(monkeypatch, sync)
+    ds = [dynamic_from_generator(X, 2) for _ in range(3)]
+    subsystem_energy_measure(ds, [E0, E0, E0], 1, 2, 1)
+    assert sorted(calls.values()) == [1, 1, 1]
+
+    calls.clear()
+    internal_time_observable(dynamic_from_generator(Z6_CLOCK, 6))
+    assert list(calls.values()) == [1]
