@@ -31,7 +31,6 @@ from .dynamics import (
     spectrum_checks,
     stone_reconstruct,
     time_average,
-    uncurried,
     validate_dynamic,
 )
 from .errors import (

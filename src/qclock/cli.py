@@ -162,13 +162,10 @@ def _parse_sync_file(doc, tol: float):
 
 def _cmd_sync(args) -> tuple[dict, bool]:
     ds, psis, chi, measures = _parse_sync_file(_load_json(args.file), args.tol)
-    checks = [
-        Check(
-            "clock_energy_collapse_matches_family",
-            clock_energy_collapse(ds, psis, chi).residual,
-            args.tol,
-        )
-    ]
+    collapse = clock_energy_collapse(ds, psis, chi)
+    if np.linalg.norm(collapse.state.amplitudes) <= sync.ZERO_NORM:
+        raise InputFormatError("chi", f"the family at total energy {chi} is zero")
+    checks = [Check("clock_energy_collapse_matches_family", collapse.residual, args.tol)]
     for i, mdoc in enumerate(measures):
         try:
             res = subsystem_energy_measure(

@@ -26,7 +26,7 @@ from .errors import (
     NotUnitaryError,
     ShapeMismatchError,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_tolerance, identity, tensor
+from .linalg import DEFAULT_TOL, Tolerance, as_tolerance, identity
 from .reports import Check, Report
 
 #: Entries of a genuinely vanishing projector are averages of N roots of
@@ -102,37 +102,34 @@ def clock_dynamic(cs: ClockStructures) -> UnitaryDynamic:
     return dynamic_from_generator(shift, N)
 
 
-def uncurried(d: UnitaryDynamic) -> np.ndarray:
-    """The action as one matrix H (x) T -> H, column (h, t) -> U_t|h>."""
-    # column index = h * N + t, so axes must be (row, h, t)
-    return np.moveaxis(d.unitaries, 0, 2).reshape(d.dim, d.dim * d.N)
-
-
 def validate_dynamic(
     d: UnitaryDynamic, cs: ClockStructures, tol: Tolerance | float = DEFAULT_TOL
 ) -> Report:
-    """Check the three defining identities of a dynamic, in uncurried form.
+    """Check the three defining identities of a dynamic against the clock maps.
 
-    (1) acting by s+t equals acting by s then t,
-    (2) acting by the unit time |0> is the identity,
-    (3) the transpose-bend of the adjoint family equals acting through the
-        antipode (adjoints are inverse translations), which with (1) and (2)
-        makes every U_t unitary.
+    With m[x,s,t] = group_mult[x, s*N + t], each law contracts the stack U
+    with a structure map and never builds a Kronecker factor:
+    (1) action: sum_x m[x,s,t] U_x equals U_t U_s, one s at a time,
+    (2) unit: sum_x group_unit[x] U_x is the identity,
+    (3) unitarity: sum_x antipode[x,t] U_x equals U_t^dag (adjoints are
+        inverse translations), which with (1) and (2) makes every U_t
+        unitary.
     """
     if d.N != cs.N:
         raise ShapeMismatchError(f"dynamic over Z/{d.N} but clock of size {cs.N}")
     eps = as_tolerance(tol).eps
-    alpha = uncurried(d)
-    eye_h = identity(d.dim)
-    eye_t = identity(d.N)
+    N, U = d.N, d.unitaries
+    m = cs.group_mult.reshape(N, N, N)
 
-    action = linalg.max_abs_diff(
-        alpha @ tensor(eye_h, cs.group_mult), alpha @ tensor(alpha, eye_t)
+    action = 0.0
+    for s in range(N):
+        acted = np.tensordot(m[:, s, :], U, axes=([0], [0]))  # [t] = sum_x m[x,s,t] U_x
+        action = max(action, linalg.max_abs_diff(acted, U @ U[s]))
+    unit = linalg.max_abs_diff(
+        np.tensordot(cs.group_unit[:, 0], U, axes=([0], [0])), identity(d.dim)
     )
-    unit = linalg.max_abs_diff(alpha @ tensor(eye_h, cs.group_unit), eye_h)
-    adjoint_stack = np.conj(np.transpose(d.unitaries, (0, 2, 1)))
-    bend = np.moveaxis(adjoint_stack, 0, 2).reshape(d.dim, d.dim * d.N)
-    unitarity = linalg.max_abs_diff(bend, alpha @ tensor(eye_h, cs.antipode))
+    inverted = np.tensordot(cs.antipode, U, axes=([0], [0]))  # [t] = sum_x S[x,t] U_x
+    unitarity = linalg.max_abs_diff(np.conj(np.transpose(U, (0, 2, 1))), inverted)
 
     return Report(
         title=f"dynamic axioms (N={d.N}, dim={d.dim})",

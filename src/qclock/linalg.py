@@ -9,7 +9,6 @@ system-with-clock space orders its basis as ``system_index * N + time``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -114,39 +113,6 @@ def approx_equal(a, b, tol: Tolerance | float = DEFAULT_TOL) -> tuple[bool, floa
     """
     err = max_abs_diff(a, b)
     return err <= as_tolerance(tol).eps, err
-
-
-def kron_apply(ops: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Apply ``ops[0] (x) ops[1] (x) ...`` to x without building the product.
-
-    ``x`` may be a vector of length prod(cols) or a matrix whose columns are
-    such vectors.  Used where the explicit Kronecker factor would breach the
-    entry cap.
-    """
-    ops = [as_matrix(op) for op in ops]
-    x = np.asarray(x, dtype=np.complex128)
-    vec_in = x.ndim == 1
-    cols = x.reshape(-1, 1) if vec_in else x
-    in_dims = [op.shape[1] for op in ops]
-    if int(np.prod(in_dims)) != cols.shape[0]:
-        raise ShapeMismatchError(
-            f"operand rows {cols.shape[0]} != product of op columns {in_dims}"
-        )
-    t = cols.reshape(*in_dims, cols.shape[1])
-    for i, op in enumerate(ops):
-        t = np.moveaxis(np.tensordot(op, t, axes=([1], [i])), 0, i)
-    out = t.reshape(-1, cols.shape[1])
-    return out[:, 0] if vec_in else out
-
-
-def swap_map(n: int, m: int) -> np.ndarray:
-    """Permutation matrix exchanging the two factors of an n (x) m product."""
-    check_entries(n * m, n * m)
-    s = np.zeros((m * n, n * m), dtype=np.complex128)
-    for i in range(n):
-        for j in range(m):
-            s[j * n + i, i * m + j] = 1.0
-    return s
 
 
 def is_unitary(u, tol: Tolerance | float = DEFAULT_TOL) -> tuple[bool, float]:

@@ -17,7 +17,7 @@ from typing import Literal
 import numpy as np
 
 from . import linalg
-from .clock import ClockStructures, make_clock
+from .clock import ClockStructures
 from .dynamics import ProjectionSpectrum, UnitaryDynamic, hamiltonian
 from .errors import (
     DistributionError,
@@ -25,7 +25,7 @@ from .errors import (
     NotNormalisedError,
     ShapeMismatchError,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_tolerance, identity, tensor
+from .linalg import DEFAULT_TOL, Tolerance, as_tolerance, identity
 from .reports import Check, Report
 
 TIME_FLAVOUR = "time-structure"
@@ -65,6 +65,10 @@ def observable_from_spectrum(
     """
     if s.N != cs.N:
         raise ShapeMismatchError(f"spectrum over Z/{s.N} but clock of size {cs.N}")
+    return _energy_observable(s, tol)
+
+
+def _energy_observable(s: ProjectionSpectrum, tol: Tolerance | float) -> Observable:
     eps = as_tolerance(tol).eps
     err = linalg.max_abs_diff(s.projectors.sum(axis=0), identity(s.dim))
     if err > eps:
@@ -103,12 +107,15 @@ def observable_checks(
     adj = np.conj(np.transpose(blocks, (0, 2, 1)))
     self_adjoint = float(np.max(np.abs(bent - adj))) if blocks.size else 0.0
 
-    twice = tensor(o.map, identity(o.N)) @ o.map
-    copied = tensor(identity(o.dim), comult) @ o.map
-    idempotent = linalg.max_abs_diff(twice, copied)
+    # idempotence: A_t A_u against sum_x comult[t*N + u, x] A_x, one t at a time
+    c = comult.reshape(o.N, o.N, o.N)
+    idempotent = 0.0
+    for t in range(o.N):
+        copied = np.tensordot(c[t], blocks, axes=([1], [0]))
+        idempotent = max(idempotent, linalg.max_abs_diff(blocks[t] @ blocks, copied))
 
     complete = linalg.max_abs_diff(
-        tensor(identity(o.dim), counit) @ o.map, identity(o.dim)
+        np.tensordot(counit[0], blocks, axes=([0], [0])), identity(o.dim)
     )
 
     return Report(
@@ -220,9 +227,8 @@ def uncertainty_check(
     eps = as_tolerance(tol).eps
     rng = rng or np.random.default_rng(0)
     N = dU.N
-    cs = make_clock(N)
     spec_u, spec_v = hamiltonian(dU), hamiltonian(dV)
-    obs = observable_from_spectrum(spec_u, cs)
+    obs = _energy_observable(spec_u, DEFAULT_TOL)
 
     weyl = _weyl(dU, dV, spec_u.support, spec_v.support, tol)
     checks = [Check("weyl_precondition", weyl.max_error, eps)]

@@ -13,11 +13,9 @@ from typing import Any
 
 import numpy as np
 
-from .clock import Character, ClockStructures, make_clock
 from .dynamics import UnitaryDynamic, dynamic_from_generator
 from .errors import InputFormatError
 from .feynman import CyclicCircuit, make_circuit
-from .histories import History
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -78,50 +76,6 @@ def _require_int(doc: dict, field: str, minimum: int = 1) -> int:
     if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
         raise InputFormatError(field, f"expected an integer >= {minimum}, got {val!r}")
     return val
-
-
-def clock_to_json(cs: ClockStructures) -> dict:
-    # the maps are reconstructed deterministically from N alone
-    return {"N": cs.N}
-
-
-def clock_from_json(doc: Any) -> ClockStructures:
-    if not isinstance(doc, dict):
-        raise InputFormatError("$", "expected a JSON object")
-    return make_clock(_require_int(doc, "N"))
-
-
-def character_to_json(c: Character) -> dict:
-    return {"N": c.N, "E": c.E}
-
-
-def character_from_json(doc: Any) -> Character:
-    if not isinstance(doc, dict):
-        raise InputFormatError("$", "expected a JSON object")
-    N = _require_int(doc, "N")
-    E = _require_int(doc, "E", minimum=0)
-    if E >= N:
-        raise InputFormatError("E", f"expected a label in [0, {N})")
-    return Character(N=N, E=E)
-
-
-def distribution_to_json(weights: np.ndarray) -> list[float]:
-    return [float(w) for w in np.asarray(weights, dtype=np.float64)]
-
-
-def history_to_json(h: History) -> list[list[list[float]]]:
-    return [vector_to_json(state) for state in h.states]
-
-
-def history_from_json(doc: Any) -> History:
-    if not isinstance(doc, list) or not doc:
-        raise InputFormatError("$", "expected a nonempty array of state vectors")
-    states = [vector_from_json(s, f"[{t}]") for t, s in enumerate(doc)]
-    dim = states[0].shape[0]
-    for t, s in enumerate(states):
-        if s.shape[0] != dim:
-            raise InputFormatError(f"[{t}]", f"expected dim {dim}")
-    return History(N=len(states), dim=dim, states=np.stack(states))
 
 
 def dynamic_to_json(d: UnitaryDynamic, generator: np.ndarray | None = None) -> dict:

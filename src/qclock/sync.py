@@ -34,7 +34,7 @@ from .errors import (
     OrthogonalEigenstateError,
     ShapeMismatchError,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_tolerance, tensor
+from .linalg import DEFAULT_TOL, Tolerance, as_tolerance
 from .reports import Check, Report
 
 #: States with norm below this are treated as zero in proportionality checks.
@@ -111,24 +111,34 @@ def synchronized_pair(d: UnitaryDynamic, psi) -> SyncState:
 def conundrum_check(
     d: UnitaryDynamic, cs: ClockStructures, tol: Tolerance | float = DEFAULT_TOL
 ) -> Report:
-    """Clock-time projectors commute with system-energy projectors on H (x) T."""
+    """Clock-time projectors commute with system-energy projectors on H (x) T.
+
+    The time projectors Q_t are the blocks of the tick observable,
+    Q_t[a, b] = time_copy[a*N + t, b].  Each commutator
+    [P_E (x) I, I (x) Q_t] is evaluated in factored form, as the two
+    products P_E (x) Q_t and Q_t (x) P_E laid out on (dim, N, dim, N)
+    tensors; it vanishes for any P_E and Q_t, so the completeness of both
+    families is what the report can fail on.
+    """
     if d.N != cs.N:
         raise ShapeMismatchError(f"dynamic over Z/{d.N} but clock of size {cs.N}")
     eps = as_tolerance(tol).eps
     N = d.N
+    linalg.check_entries(d.dim * N, d.dim * N)
     spec = hamiltonian(d)
-    eye_h, eye_t = linalg.identity(d.dim), linalg.identity(N)
+    time_projectors = cs.time_copy.reshape(N, N, N).transpose(1, 0, 2)  # [t, a, b]
 
     comm = 0.0
-    for E in range(N):
-        a = tensor(spec.projectors[E], eye_t)
-        for t in range(N):
-            e_t = np.outer(linalg.basis_vector(N, t), linalg.basis_vector(N, t).conj())
-            b = tensor(eye_h, e_t)
-            comm = max(comm, float(np.max(np.abs(a @ b - b @ a))))
+    for p in spec.projectors:
+        for q in time_projectors:
+            energy_first = np.multiply.outer(p, q).transpose(0, 2, 1, 3)  # [h, a, h', b]
+            time_first = np.multiply.outer(q, p).transpose(2, 0, 3, 1)
+            comm = max(comm, linalg.max_abs_diff(energy_first, time_first))
 
-    energy_complete = linalg.max_abs_diff(spec.projectors.sum(axis=0), eye_h)
-    time_complete = 0.0  # sum_t |t><t| is the identity by construction
+    energy_complete = linalg.max_abs_diff(
+        spec.projectors.sum(axis=0), linalg.identity(d.dim)
+    )
+    time_complete = linalg.max_abs_diff(time_projectors.sum(axis=0), linalg.identity(N))
     return Report(
         title=f"simultaneous time/energy measurability (N={N}, dim={d.dim})",
         checks=(
@@ -316,7 +326,10 @@ def _is_nondegenerate(spec: ProjectionSpectrum) -> bool:
 
 def demolition_hamiltonian(d: UnitaryDynamic) -> list[tuple[np.ndarray, int]]:
     """One normalised eigenvector per supported energy, labels injective."""
-    spec = hamiltonian(d)
+    return _demolition_pairs(hamiltonian(d))
+
+
+def _demolition_pairs(spec: ProjectionSpectrum) -> list[tuple[np.ndarray, int]]:
     if not _is_nondegenerate(spec):
         raise DegenerateError("dynamic has a degenerate energy level")
     return [(_rank1_eigvec(spec.projectors[E]), E) for E in spec.support]
@@ -335,7 +348,13 @@ def internal_time_observable(
     which the one-step translation U_1 advances cyclically, tau -> tau + 1,
     carrying external time onto the internal clock Z/m.
     """
-    pairs = demolition_hamiltonian(d)
+    return _internal_time(d, hamiltonian(d), tol)
+
+
+def _internal_time(
+    d: UnitaryDynamic, spec: ProjectionSpectrum, tol: Tolerance | float
+) -> InternalClockDescriptor:
+    pairs = _demolition_pairs(spec)
     energies = tuple(E for _, E in pairs)
     m = len(energies)
     N = d.N
@@ -385,11 +404,10 @@ def dynamic_descent(
         raise ShapeMismatchError(f"clock sizes differ: {dG.N} vs {dH.N}")
     if not (0 <= chi < dG.N):
         raise ValueError(f"total energy {chi} outside [0, {dG.N})")
-    desc = internal_time_observable(dG, tol)
+    spec_g, spec_h = hamiltonian(dG), hamiltonian(dH)
+    desc = _internal_time(dG, spec_g, tol)
     m, g, N = desc.internal_size, desc.subgroup_generator, dG.N
 
-    spec_g = hamiltonian(dG)
-    spec_h = hamiltonian(dH)
     u0 = desc.basis[:, 0]
     # c[tau, k] = <tau|_int P_{k g} |0>_int, evaluated on the actual states
     proj0 = np.column_stack([spec_g.projectors[k * g] @ u0 for k in range(m)])

@@ -17,6 +17,15 @@ def phase_matrix(N: int) -> np.ndarray:
     return np.diag(np.exp(2j * np.pi * np.arange(N) / N))
 
 
+def swap_map(n: int, m: int) -> np.ndarray:
+    """Permutation matrix exchanging the two factors of an n (x) m product."""
+    s = np.zeros((m * n, n * m), dtype=complex)
+    for i in range(n):
+        for j in range(m):
+            s[j * n + i, i * m + j] = 1.0
+    return s
+
+
 @pytest.fixture(scope="session")
 def random_family():
     """50 seeded random dynamics with N <= 12, dim <= 5, plus matched states."""

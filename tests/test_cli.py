@@ -210,9 +210,9 @@ def test_nan_tol_rejected():
     _assert_input_error(run_cli("--tol", "nan", "axioms", "2"), "--tol")
 
 
-def _sync_file(tmp_path: Path, psis, measure=()) -> Path:
+def _sync_file(tmp_path: Path, psis, measure=(), chi: int = 0) -> Path:
     systems = [{"generator": matrix_to_json(X), "psi": vector_to_json(p)} for p in psis]
-    doc = {"N": 2, "chi": 0, "systems": systems, "measure": list(measure)}
+    doc = {"N": 2, "chi": chi, "systems": systems, "measure": list(measure)}
     path = tmp_path / "sync.json"
     path.write_text(json.dumps(doc))
     return path
@@ -226,3 +226,31 @@ def test_sync_zero_state_is_input_error(tmp_path):
 def test_sync_measure_needs_two_systems(tmp_path):
     path = _sync_file(tmp_path, [np.array([1, 0])], [{"system": 0, "energy": 0}])
     _assert_input_error(run_cli("sync", str(path)), "measure[0]")
+
+
+def test_sync_vanishing_family_is_input_error(tmp_path):
+    # |+> has energy 0 under X, so no two labels sum to chi = 1: the family is zero
+    plus = np.array([1, 1]) / np.sqrt(2)
+    path = _sync_file(tmp_path, [plus, plus], chi=1)
+    _assert_input_error(run_cli("sync", str(path)), "chi")
+
+
+def test_axioms_past_the_kronecker_cap():
+    proc = run_cli("axioms", "24")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert len(doc["checks"]) == 17
+    assert {c["max_error"] for c in doc["checks"]} == {0.0}
+
+
+def test_dynamic_past_the_kronecker_cap(tmp_path):
+    N, dim = 32, 16
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    v, _ = np.linalg.qr(z)
+    gen = (v * np.exp(2j * np.pi * rng.integers(0, N, size=dim) / N)) @ v.conj().T
+    path = tmp_path / "dyn.json"
+    path.write_text(json.dumps({"N": N, "dim": dim, "generator": matrix_to_json(gen)}))
+    proc = run_cli("dynamic", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pass"] is True

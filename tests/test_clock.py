@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import swap_map
 from qclock.clock import (
     Character,
     character_vector,
@@ -158,8 +159,6 @@ def test_quasi_speciality_scaling():
 def test_bialgebra_as_explicit_tensor_contraction():
     # same law as the report, rebuilt here with explicit Kronecker factors
     cs = make_clock(3)
-    from qclock.linalg import swap_map
-
     lhs = cs.time_copy @ cs.group_mult
     mid = tensor(tensor(np.eye(3), swap_map(3, 3)), np.eye(3))
     rhs = tensor(cs.group_mult, cs.group_mult) @ mid @ tensor(cs.time_copy, cs.time_copy)
@@ -169,8 +168,6 @@ def test_bialgebra_as_explicit_tensor_contraction():
 def test_bialgebra_daggered_form_between_comultiplications():
     # the clock's two outcome-recording maps satisfy the adjoint law exactly
     cs = make_clock(4)
-    from qclock.linalg import swap_map
-
     lhs = cs.group_comult @ cs.time_match
     mid = tensor(tensor(np.eye(4), swap_map(4, 4)), np.eye(4))
     rhs = tensor(cs.time_match, cs.time_match) @ mid @ tensor(cs.group_comult, cs.group_comult)

@@ -9,7 +9,6 @@ from qclock.linalg import (
     Tolerance,
     approx_equal,
     dagger,
-    kron_apply,
     orthonormal_range,
     tensor,
 )
@@ -125,16 +124,6 @@ def test_tensor_associative_within_rounding(a, b, c):
 @given(a=small_matrices(), b=small_matrices())
 def test_dagger_distributes_over_tensor_exactly(a, b):
     assert np.array_equal(dagger(tensor(a, b)), tensor(dagger(a), dagger(b)))
-
-
-def test_kron_apply_matches_explicit_product():
-    rng = np.random.default_rng(11)
-    ops = [_random_matrix(rng, 2, 3), _random_matrix(rng, 4, 2), _random_matrix(rng, 3, 3)]
-    full = tensor(tensor(ops[0], ops[1]), ops[2])
-    x = _random_matrix(rng, 3 * 2 * 3, 5)
-    assert np.allclose(kron_apply(ops, x), full @ x, atol=1e-12)
-    v = _random_matrix(rng, 3 * 2 * 3, 1).reshape(-1)
-    assert np.allclose(kron_apply(ops, v), full @ v, atol=1e-12)
 
 
 def test_orthonormal_range_of_projector():

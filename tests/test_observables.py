@@ -204,3 +204,11 @@ def test_unbiasedness_computes_each_spectrum_once(monkeypatch):
     dV = dynamic_from_generator(phase_matrix(N), N)
     assert uncertainty_check(dU, dV).passed
     assert sorted(calls.values()) == [1, 1]
+
+
+def test_uncertainty_needs_no_clock_structures():
+    # make_clock(128) would need 128^2 x 128 entries, past the default cap
+    N = 128
+    dU = dynamic_from_generator(shift_matrix(N), N)
+    dV = dynamic_from_generator(phase_matrix(N), N)
+    assert uncertainty_check(dU, dV).passed

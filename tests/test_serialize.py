@@ -85,47 +85,6 @@ def test_malformed_circuit_documents():
     assert "gates" in str(exc.value)
 
 
-def test_clock_serialises_as_size_only():
-    from qclock.clock import make_clock
-    from qclock.serialize import clock_from_json, clock_to_json
-
-    cs = make_clock(5)
-    assert clock_to_json(cs) == {"N": 5}
-    rebuilt = clock_from_json({"N": 5})
-    assert np.array_equal(rebuilt.group_mult, cs.group_mult)
-    assert np.array_equal(rebuilt.time_copy, cs.time_copy)
-
-
-def test_character_round_trip():
-    from qclock.clock import Character
-    from qclock.serialize import character_from_json, character_to_json
-
-    c = Character(N=6, E=4)
-    assert character_to_json(c) == {"N": 6, "E": 4}
-    assert character_from_json({"N": 6, "E": 4}) == c
-    with pytest.raises(InputFormatError):
-        character_from_json({"N": 4, "E": 4})
-
-
-def test_history_round_trip():
-    from qclock.dynamics import dynamic_from_generator
-    from qclock.histories import history_from_state
-    from qclock.serialize import history_from_json, history_to_json
-
-    h = history_from_state(dynamic_from_generator(X, 2), np.array([0.6, 0.8j]))
-    back = history_from_json(json.loads(json.dumps(history_to_json(h))))
-    assert back.N == h.N and back.dim == h.dim
-    assert np.array_equal(back.states, h.states)
-
-
-def test_distribution_serialises_as_reals():
-    from qclock.serialize import distribution_to_json
-
-    out = distribution_to_json(np.array([0.25, 0.75]))
-    assert out == [0.25, 0.75]
-    assert all(isinstance(w, float) for w in out)
-
-
 def test_canonical_dumps_sorted_and_stable():
     a = canonical_dumps({"b": 1.5, "a": [True, 0.1]})
     b = canonical_dumps({"a": [True, 0.1], "b": 1.5})

@@ -339,3 +339,11 @@ def test_each_spectrum_computed_once(monkeypatch):
     calls.clear()
     internal_time_observable(dynamic_from_generator(Z6_CLOCK, 6))
     assert list(calls.values()) == [1]
+
+
+def test_descent_computes_each_spectrum_once(monkeypatch):
+    calls = count_spectra(monkeypatch, sync)
+    dg = dynamic_from_generator(Z6_CLOCK, 6)
+    dh = dynamic_from_generator(np.array([[W6**2]]), 6)
+    dynamic_descent(dg, dh, 0)
+    assert sorted(calls.values()) == [1, 1]
