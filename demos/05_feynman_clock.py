@@ -25,7 +25,7 @@ print("hand-sized case: gates [X, X]")
 c = make_circuit([X, X])
 h = history_state(c, np.array([1, 0], dtype=complex))
 print(f"  history of |0>: {np.round(h.real, 3)}  (|0,0> + |1,1>)")
-print(f"  report: {feynman_check(c).as_dict()}")
+print(feynman_check(c).summary())
 
 print("\na random three-gate circuit, closed up with its adjoints (N=6):")
 rng = np.random.default_rng(7)
@@ -35,8 +35,9 @@ for _ in range(3):
     gates.append(q * (np.diag(r) / np.abs(np.diag(r))))
 c6 = cyclify(gates)
 rep = feynman_check(c6)
-print(f"  ground dimension {rep.ground_dim} (system dimension {rep.expected_dim})")
-print(f"  span residual {rep.max_residual:.2e}, pass={rep.passed}")
+facts = rep.facts
+print(f"  ground dimension {facts['ground_dim']} (system dimension {facts['expected_dim']})")
+print(f"  span residual {facts['max_residual']:.2e}, pass={rep.passed}")
 
 gs = ground_space(composite_dynamic(c6))
 psi = rng.normal(size=4) + 1j * rng.normal(size=4)

@@ -51,7 +51,6 @@ from .errors import (
 )
 from .feynman import (
     CyclicCircuit,
-    FeynmanReport,
     GroundSpace,
     composite_dynamic,
     composite_step,
@@ -99,6 +98,7 @@ from .sync import (
     conundrum_check,
     demolition_hamiltonian,
     dynamic_descent,
+    internal_time_check,
     internal_time_observable,
     is_nondegenerate,
     separable_dynamic,

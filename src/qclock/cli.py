@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,18 +26,12 @@ from .dynamics import (
     time_average,
     validate_dynamic,
 )
-from .errors import (
-    DegenerateError,
-    InputFormatError,
-    NotASubgroupError,
-    OrthogonalEigenstateError,
-    QClockError,
-)
+from .errors import DegenerateError, InputFormatError, OrthogonalEigenstateError, QClockError
 from .feynman import feynman_check
 from .linalg import Tolerance, max_abs_diff
 from .reports import Check, Report
 from .selftest import run_self_test
-from .sync import clock_energy_collapse, internal_time_observable, subsystem_energy_measure
+from .sync import clock_energy_collapse, internal_time_check, subsystem_energy_measure
 
 SCHEMA_VERSION = 1
 
@@ -63,22 +58,18 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _report_doc(command: str, report: Report, extra: dict | None = None) -> dict:
-    doc = {"schema_version": SCHEMA_VERSION, "command": command}
-    doc.update(report.as_dict())
-    if extra:
-        doc.update(extra)
-    return doc
+def _report_doc(command: str, report: Report) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "command": command, **report.as_dict()}
 
 
-def _cmd_axioms(args) -> tuple[dict, bool]:
+def _cmd_axioms(args) -> Report:
     if args.N < 1:
         raise InputFormatError("N", f"expected a positive integer, got {args.N}")
     report = verify_strong_complementarity(make_clock(args.N), Tolerance(args.tol))
-    return _report_doc("axioms", report, {"N": args.N}), report.passed
+    return replace(report, facts={"N": args.N})
 
 
-def _cmd_dynamic(args) -> tuple[dict, bool]:
+def _cmd_dynamic(args) -> Report:
     d = serialize.dynamic_from_json(_load_json(args.file), args.tol)
     tol = Tolerance(args.tol)
     axioms = validate_dynamic(d, make_clock(d.N), tol)
@@ -90,25 +81,17 @@ def _cmd_dynamic(args) -> tuple[dict, bool]:
         Check("ergodic_average_is_ground_projector", ergodic, args.tol),
         Check("stone_round_trip", stone, args.tol),
     )
-    merged = Report(
+    ranks = {str(E): r for E, r in spec.ranks.items()}
+    return Report(
         title=f"dynamic verification (N={d.N}, dim={d.dim})",
         checks=axioms.checks + spectrum.checks + extras,
+        facts={"N": d.N, "dim": d.dim, "support": list(spec.support), "ranks": ranks},
     )
-    ranks = {str(E): r for E, r in spec.ranks.items()}
-    doc = _report_doc(
-        "dynamic",
-        merged,
-        {"N": d.N, "dim": d.dim, "support": list(spec.support), "ranks": ranks},
-    )
-    return doc, merged.passed
 
 
-def _cmd_feynman(args) -> tuple[dict, bool]:
+def _cmd_feynman(args) -> Report:
     c = serialize.circuit_from_json(_load_json(args.file), args.tol)
-    rep = feynman_check(c, Tolerance(args.tol))
-    doc = {"schema_version": SCHEMA_VERSION, "command": "feynman"}
-    doc.update(rep.as_dict())
-    return doc, rep.passed
+    return feynman_check(c, Tolerance(args.tol))
 
 
 def _parse_sync_file(doc, tol: float):
@@ -160,7 +143,7 @@ def _parse_sync_file(doc, tol: float):
     return ds, psis, chi, measures
 
 
-def _cmd_sync(args) -> tuple[dict, bool]:
+def _cmd_sync(args) -> Report:
     ds, psis, chi, measures = _parse_sync_file(_load_json(args.file), args.tol)
     collapse = clock_energy_collapse(ds, psis, chi)
     if np.linalg.norm(collapse.state.amplitudes) <= sync.ZERO_NORM:
@@ -180,30 +163,16 @@ def _cmd_sync(args) -> tuple[dict, bool]:
                 args.tol,
             )
         )
-    report = Report(
+    return Report(
         title=f"synchronised family (M={len(ds)}, N={ds[0].N}, chi={chi})",
         checks=tuple(checks),
+        facts={"chi": chi, "M": len(ds)},
     )
-    return _report_doc("sync", report, {"chi": chi, "M": len(ds)}), report.passed
 
 
-def _cmd_internal_time(args) -> tuple[dict, bool]:
+def _cmd_internal_time(args) -> Report:
     d = serialize.dynamic_from_json(_load_json(args.file), args.tol)
-    doc = {"schema_version": SCHEMA_VERSION, "command": "internal-time", "N": d.N}
-    try:
-        desc = internal_time_observable(d, Tolerance(args.tol))
-    except DegenerateError:
-        doc.update({"nondegenerate": False, "subgroup": False})
-        return doc, False
-    except NotASubgroupError as exc:
-        doc.update(
-            {"nondegenerate": True, "subgroup": False, "energies": list(exc.energies)}
-        )
-        return doc, False
-    doc.update(desc.as_dict())
-    doc["nondegenerate"] = True
-    doc["permutation_error"] = desc.permutation_error
-    return doc, True
+    return internal_time_check(d, Tolerance(args.tol))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,22 +233,26 @@ def main(argv: list[str] | None = None) -> int:
     if args.max_dim < 1:
         print("error: --max-dim must be a positive integer", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    if args.seed < 0:
+        print("error: --seed must be a non-negative integer", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
     linalg.set_max_entries(args.max_dim)
     try:
-        if args.self_test:
-            report = run_self_test(seed=args.seed, tol=max(args.tol, 1e-8))
-            doc = _report_doc("self-test", report, {"seed": args.seed})
-            ok = report.passed
-        else:
-            doc, ok = _DISPATCH[args.command](args)
-        _emit(doc, args.out)
-        return EXIT_PASS if ok else EXIT_CHECK_FAILURE
-    except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        # an overflow would put inf or nan into a report, which JSON cannot hold
+        with np.errstate(over="raise", invalid="raise"):
+            if args.self_test:
+                report = run_self_test(seed=args.seed, tol=max(args.tol, 1e-8))
+                command, report = "self-test", replace(report, facts={"seed": args.seed})
+            else:
+                command, report = args.command, _DISPATCH[args.command](args)
+        _emit(_report_doc(command, report), args.out)
+        return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
     except QClockError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except FloatingPointError as exc:
+        print(f"error: input values leave the double range ({exc})", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -48,26 +48,6 @@ class GroundSpace:
         return self.basis.shape[1]
 
 
-@dataclass(frozen=True)
-class FeynmanReport:
-    """Outcome of checking history states against the composite ground space."""
-
-    cyclic: bool
-    ground_dim: int
-    expected_dim: int
-    max_residual: float
-    passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "cyclic": self.cyclic,
-            "ground_dim": self.ground_dim,
-            "expected_dim": self.expected_dim,
-            "max_residual": float(self.max_residual),
-            "pass": self.passed,
-        }
-
-
 def make_circuit(
     gates: Sequence[np.ndarray], tol: Tolerance | float = DEFAULT_TOL
 ) -> CyclicCircuit:
@@ -93,6 +73,20 @@ def cycle_product(c: CyclicCircuit) -> np.ndarray:
     return prod
 
 
+def _cycle_defect(c: CyclicCircuit) -> float:
+    """Largest entry of the cycle product minus the identity."""
+    return linalg.max_abs_diff(cycle_product(c), identity(c.dim))
+
+
+def _require_cyclic(c: CyclicCircuit, tol: Tolerance | float) -> None:
+    err = _cycle_defect(c)
+    if err > as_tolerance(tol).eps:
+        raise NotCyclicError(
+            f"cycle product differs from identity by {err:.3e}; "
+            "extend the circuit (e.g. with cyclify) first"
+        )
+
+
 def composite_step(c: CyclicCircuit) -> np.ndarray:
     """One-step generator on H (x) T: block (t+1 mod N, t) holds gates[t+1]."""
     N, dim = c.N, c.dim
@@ -107,13 +101,7 @@ def composite_dynamic(
     c: CyclicCircuit, tol: Tolerance | float = DEFAULT_TOL
 ) -> UnitaryDynamic:
     """The Z/N dynamic on H (x) T generated by the one-step action."""
-    eps = as_tolerance(tol).eps
-    err = linalg.max_abs_diff(cycle_product(c), identity(c.dim))
-    if err > eps:
-        raise NotCyclicError(
-            f"cycle product differs from identity by {err:.3e}; "
-            "extend the circuit (e.g. with cyclify) first"
-        )
+    _require_cyclic(c, tol)
     return dynamic_from_generator(composite_step(c), c.N, tol)
 
 
@@ -135,10 +123,11 @@ def history_state(
     psi0 = linalg.as_vector(psi0)
     if psi0.shape[0] != c.dim:
         raise ShapeMismatchError(f"state of dim {psi0.shape[0]}, circuit on dim {c.dim}")
-    eps = as_tolerance(tol).eps
-    err = linalg.max_abs_diff(cycle_product(c), identity(c.dim))
-    if err > eps:
-        raise NotCyclicError(f"cycle product differs from identity by {err:.3e}")
+    _require_cyclic(c, tol)
+    return _history(c, psi0)
+
+
+def _history(c: CyclicCircuit, psi0: np.ndarray) -> np.ndarray:
     cols = np.empty((c.dim, c.N), dtype=np.complex128)
     cols[:, 0] = psi0
     for t in range(1, c.N):
@@ -155,31 +144,33 @@ def ground_space(d: UnitaryDynamic, rank_threshold: float = RANK_THRESHOLD) -> G
 
 def feynman_check(
     c: CyclicCircuit, tol: Tolerance | float = DEFAULT_TOL
-) -> FeynmanReport:
+) -> Report:
     """Verify that history states and composite ground states coincide.
 
-    Checks that every basis history state lies in the ground space of the
-    composite dynamic, that the ground space has dimension equal to the
-    system dimension, and that the two spans agree (mutual projection
-    residuals below tolerance).
+    Checks that the cycle product is the identity, that every basis history
+    state lies in the ground space of the composite dynamic, that the ground
+    space lies in the span of the history states, and that the ground space
+    has dimension equal to the system dimension.  The facts state
+    ``cyclic``, ``ground_dim``, ``expected_dim`` and ``max_residual`` (the
+    cycle defect of a non-cyclic circuit, else the worse span residual).
     """
     eps = as_tolerance(tol).eps
-    try:
-        comp = composite_dynamic(c, tol)
-    except NotCyclicError:
-        defect = linalg.max_abs_diff(cycle_product(c), identity(c.dim))
-        return FeynmanReport(
-            cyclic=False,
-            ground_dim=0,
-            expected_dim=c.dim,
-            max_residual=defect,
-            passed=False,
+    title = f"Feynman clock construction (N={c.N}, dim={c.dim})"
+    defect = _cycle_defect(c)
+    cycle = Check("cycle_product_is_identity", defect, eps)
+    facts = {"cyclic": cycle.passed, "ground_dim": 0, "expected_dim": c.dim, "max_residual": defect}
+    if not cycle.passed:
+        return Report(
+            title,
+            (cycle,),
+            notes=("not cyclic: the composite dynamic and its histories are undefined",),
+            facts=facts,
         )
-    gs = ground_space(comp)
+    gs = ground_space(dynamic_from_generator(composite_step(c), c.N, tol))
     q = gs.basis
 
     histories = np.column_stack(
-        [history_state(c, linalg.basis_vector(c.dim, i), tol) for i in range(c.dim)]
+        [_history(c, linalg.basis_vector(c.dim, i)) for i in range(c.dim)]
     )
     histories = histories / np.linalg.norm(histories, axis=0)
 
@@ -188,16 +179,15 @@ def feynman_check(
     back = float(
         np.max(np.linalg.norm(q - h_basis @ (h_basis.conj().T @ q), axis=0))
     ) if q.shape[1] else 0.0
-    max_residual = max(residual, back)
 
-    passed = gs.dim == c.dim and max_residual <= eps
-    return FeynmanReport(
-        cyclic=True,
-        ground_dim=gs.dim,
-        expected_dim=c.dim,
-        max_residual=max_residual,
-        passed=passed,
+    checks = (
+        cycle,
+        Check("histories_in_ground_space", residual, eps),
+        Check("ground_space_in_history_span", back, eps),
+        Check("ground_dim_equals_system_dim", float(abs(gs.dim - c.dim)), 0.0),
     )
+    facts.update(ground_dim=gs.dim, max_residual=max(residual, back))
+    return Report(title, checks, facts=facts)
 
 
 def stationarity_check(

@@ -122,6 +122,16 @@ def is_unitary(u, tol: Tolerance | float = DEFAULT_TOL) -> tuple[bool, float]:
     return approx_equal(u @ u.conj().T, identity(u.shape[0]), tol)
 
 
+def rank1_eigvec(p: np.ndarray) -> np.ndarray:
+    """Unit vector spanning a rank-1 projector, phase fixed deterministically."""
+    col = int(np.argmax(np.linalg.norm(p, axis=0)))
+    v = p[:, col]
+    v = v / np.linalg.norm(v)
+    lead = int(np.argmax(np.abs(v)))
+    phase = v[lead] / abs(v[lead])
+    return v / phase
+
+
 def orthonormal_range(
     mat: np.ndarray, rank_threshold: float = 1e-7
 ) -> np.ndarray:

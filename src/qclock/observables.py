@@ -238,12 +238,11 @@ def uncertainty_check(
     for label, rank in spec_v.ranks.items():
         p = spec_v.projectors[label]
         if rank == 1:
-            col = int(np.argmax(np.linalg.norm(p, axis=0)))
-            psi = p[:, col]
+            psi = linalg.rank1_eigvec(p)
         else:
             psi = p @ (rng.normal(size=dV.dim) + 1j * rng.normal(size=dV.dim))
+            psi = psi / np.linalg.norm(psi)
             notes.append(f"label {label}: rank {rank} eigenspace, random representative")
-        psi = psi / np.linalg.norm(psi)
         dist = demolition_measurement(obs, psi, tol)
         checks.append(
             Check(f"uniformity_label_{label}", linalg.max_abs_diff(dist, uniform), eps)

@@ -28,11 +28,16 @@ class Check:
 
 @dataclass(frozen=True)
 class Report:
-    """A batch of checks with optional free-form notes."""
+    """A batch of checks with optional free-form notes and stated facts.
+
+    ``facts`` holds the JSON-ready values a verdict states besides its checks
+    (sizes, supports, ranks, ...); ``as_dict`` merges them at the top level.
+    """
 
     title: str
     checks: tuple[Check, ...]
     notes: tuple[str, ...] = field(default_factory=tuple)
+    facts: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -55,6 +60,7 @@ class Report:
             "max_error": float(self.max_error),
             "checks": [c.as_dict() for c in self.checks],
             "notes": list(self.notes),
+            **self.facts,
         }
 
     def summary(self) -> str:

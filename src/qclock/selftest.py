@@ -75,8 +75,8 @@ def _feynman_suite(rng: np.random.Generator, eps: float) -> list[Check]:
         dim = int(rng.integers(1, 5))
         c = sampling.random_cyclified_circuit(n, dim, rng)
         rep = feynman_check(c, Tolerance(max(eps, 1e-8)))
-        err = max(err, rep.max_residual)
-        dims_ok = dims_ok and rep.ground_dim == rep.expected_dim
+        err = max(err, rep.facts["max_residual"])
+        dims_ok = dims_ok and rep.facts["ground_dim"] == rep.facts["expected_dim"]
     return [
         Check("history_states_span_ground_space", err, max(eps, 1e-8)),
         Check("ground_dimension_equals_system", 0.0 if dims_ok else 1.0, 0.5),

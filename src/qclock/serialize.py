@@ -13,6 +13,7 @@ from typing import Any
 
 import numpy as np
 
+from . import linalg
 from .dynamics import UnitaryDynamic, dynamic_from_generator
 from .errors import InputFormatError
 from .feynman import CyclicCircuit, make_circuit
@@ -98,6 +99,11 @@ def dynamic_from_json(doc: Any, tol: float = 1e-9) -> UnitaryDynamic:
             raise InputFormatError("generator", f"expected square, got {gen.shape}")
         if "dim" in doc and _require_int(doc, "dim") != gen.shape[0]:
             raise InputFormatError("dim", "inconsistent with generator shape")
+        if N * gen.size > linalg.max_entries():
+            raise InputFormatError(
+                "N", f"{N} powers of a {gen.shape[0]}x{gen.shape[0]} generator exceed "
+                f"the cap of {linalg.max_entries()} entries"
+            )
         return dynamic_from_generator(gen, N, tol)
     if "unitaries" in doc:
         if not isinstance(doc["unitaries"], list) or len(doc["unitaries"]) != N:

@@ -14,6 +14,7 @@ a partner system descends.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -88,15 +89,6 @@ class InternalClockDescriptor:
 
     def quotient(self, t: int) -> int:
         return t % self.internal_size
-
-    def as_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "energies": list(self.energies),
-            "subgroup": True,
-            "g": self.subgroup_generator,
-            "m": self.internal_size,
-        }
 
 
 def synchronized_pair(d: UnitaryDynamic, psi) -> SyncState:
@@ -254,16 +246,6 @@ def clock_energy_collapse(
     )
 
 
-def _rank1_eigvec(p: np.ndarray) -> np.ndarray:
-    """Unit vector spanning a rank-1 projector, phase fixed deterministically."""
-    col = int(np.argmax(np.linalg.norm(p, axis=0)))
-    v = p[:, col]
-    v = v / np.linalg.norm(v)
-    lead = int(np.argmax(np.abs(v)))
-    phase = v[lead] / abs(v[lead])
-    return v / phase
-
-
 def subsystem_energy_measure(
     ds: Sequence[UnitaryDynamic],
     psis: Sequence,
@@ -286,7 +268,7 @@ def subsystem_energy_measure(
         raise DegenerateError(
             f"system {j} has rank-{rank} projector at energy {Eprime}"
         )
-    phi = _rank1_eigvec(p)
+    phi = linalg.rank1_eigvec(p)
 
     psi_j = linalg.as_vector(psis[j])
     overlap = complex(np.vdot(phi, p @ psi_j))
@@ -317,11 +299,21 @@ def subsystem_energy_measure(
 
 def is_nondegenerate(d: UnitaryDynamic) -> bool:
     """True iff every supported projector has rank 1 and they number dim."""
-    return _is_nondegenerate(hamiltonian(d))
+    return _degeneracy(hamiltonian(d)) == 0
 
 
-def _is_nondegenerate(spec: ProjectionSpectrum) -> bool:
-    return len(spec.support) == spec.dim and set(spec.ranks.values()) == {1}
+def _degeneracy(spec: ProjectionSpectrum) -> int:
+    """Zero iff there are dim levels, all of rank 1; else a positive count.
+
+    For a genuine spectrum this is dim minus the number of levels.
+    """
+    off_rank = sum(r != 1 for r in spec.ranks.values())
+    return max(abs(spec.dim - len(spec.support)), off_rank)
+
+
+def _subgroup_gap(energies: Sequence[int], N: int) -> int:
+    """Labels of the subgroup of Z/N the energies generate that they miss."""
+    return N // math.gcd(N, *energies) - len(energies)
 
 
 def demolition_hamiltonian(d: UnitaryDynamic) -> list[tuple[np.ndarray, int]]:
@@ -330,14 +322,12 @@ def demolition_hamiltonian(d: UnitaryDynamic) -> list[tuple[np.ndarray, int]]:
 
 
 def _demolition_pairs(spec: ProjectionSpectrum) -> list[tuple[np.ndarray, int]]:
-    if not _is_nondegenerate(spec):
+    if _degeneracy(spec):
         raise DegenerateError("dynamic has a degenerate energy level")
-    return [(_rank1_eigvec(spec.projectors[E]), E) for E in spec.support]
+    return [(linalg.rank1_eigvec(spec.projectors[E]), E) for E in spec.support]
 
 
-def internal_time_observable(
-    d: UnitaryDynamic, tol: Tolerance | float = DEFAULT_TOL
-) -> InternalClockDescriptor:
+def internal_time_observable(d: UnitaryDynamic) -> InternalClockDescriptor:
     """Internal time basis of a non-degenerate dynamic, if one exists.
 
     The energy image must be the subgroup {0, g, ..., (m-1)g} of Z/N with
@@ -346,19 +336,46 @@ def internal_time_observable(
         |tau> = (1/sqrt(m)) sum_k exp(2*pi*i*k*tau/m) v_{k g},
 
     which the one-step translation U_1 advances cyclically, tau -> tau + 1,
-    carrying external time onto the internal clock Z/m.
+    carrying external time onto the internal clock Z/m; how far it misses
+    is ``permutation_error``, which ``internal_time_check`` judges.
     """
-    return _internal_time(d, hamiltonian(d), tol)
+    return _internal_time(d, hamiltonian(d))
 
 
-def _internal_time(
-    d: UnitaryDynamic, spec: ProjectionSpectrum, tol: Tolerance | float
-) -> InternalClockDescriptor:
+def internal_time_check(d: UnitaryDynamic, tol: Tolerance | float = DEFAULT_TOL) -> Report:
+    """Whether a dynamic carries an internal clock, as a report.
+
+    Each check runs only when the ones before it pass: the spectrum is
+    non-degenerate (error: dim minus the number of levels), its
+    energy image is a subgroup of Z/N (error: labels of the generated
+    subgroup it misses), and U_1 advances the internal time states within
+    tolerance.  The facts are ``N``, ``nondegenerate``, ``subgroup`` and,
+    once known, ``energies``, ``g``, ``m`` and ``permutation_error``.
+    """
+    spec = hamiltonian(d)
+    degeneracy = _degeneracy(spec)
+    checks = [Check("nondegenerate_spectrum", float(degeneracy), 0.0)]
+    facts = {"N": d.N, "nondegenerate": degeneracy == 0, "subgroup": False}
+    if degeneracy == 0:
+        gap = _subgroup_gap(spec.support, d.N)
+        checks.append(Check("energy_image_is_subgroup", float(gap), 0.0))
+        facts["energies"] = list(spec.support)
+        if gap == 0:
+            desc = _internal_time(d, spec)
+            err = desc.permutation_error
+            checks.append(Check("one_step_advances_internal_time", err, as_tolerance(tol).eps))
+            g, m = desc.subgroup_generator, desc.internal_size
+            facts.update(subgroup=True, g=g, m=m, permutation_error=err)
+    title = f"internal time observable (N={d.N}, dim={d.dim})"
+    return Report(title, tuple(checks), facts=facts)
+
+
+def _internal_time(d: UnitaryDynamic, spec: ProjectionSpectrum) -> InternalClockDescriptor:
     pairs = _demolition_pairs(spec)
     energies = tuple(E for _, E in pairs)
     m = len(energies)
     N = d.N
-    if N % m != 0 or energies != tuple((N // m) * k for k in range(m)):
+    if _subgroup_gap(energies, N):
         raise NotASubgroupError(energies, N)
     g = N // m
 
@@ -369,10 +386,6 @@ def _internal_time(
 
     u1 = d.unitaries[1 % N]
     perm_err = float(np.max(np.abs(u1 @ basis - np.roll(basis, -1, axis=1))))
-    eps = as_tolerance(tol).eps
-    if perm_err > max(eps, 1e-6):
-        raise AxiomsViolatedError(perm_err)
-
     return InternalClockDescriptor(
         N=N,
         energies=energies,
@@ -405,7 +418,7 @@ def dynamic_descent(
     if not (0 <= chi < dG.N):
         raise ValueError(f"total energy {chi} outside [0, {dG.N})")
     spec_g, spec_h = hamiltonian(dG), hamiltonian(dH)
-    desc = _internal_time(dG, spec_g, tol)
+    desc = _internal_time(dG, spec_g)
     m, g, N = desc.internal_size, desc.subgroup_generator, dG.N
 
     u0 = desc.basis[:, 0]

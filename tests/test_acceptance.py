@@ -180,8 +180,8 @@ def test_criterion_07_feynman_clock():
         dim = int(rng.integers(1, 5))
         c = sampling.random_cyclified_circuit(n, dim, rng)
         rep = feynman_check(c, 1e-8)
-        worst = max(worst, rep.max_residual)
-        dims_ok = dims_ok and rep.ground_dim == rep.expected_dim and rep.passed
+        worst = max(worst, rep.facts["max_residual"])
+        dims_ok = dims_ok and rep.facts["ground_dim"] == rep.facts["expected_dim"] and rep.passed
 
     golden = make_circuit([X, X])
     h = history_state(golden, E0)

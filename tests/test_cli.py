@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,8 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import X
+from conftest import X, phase_matrix, shift_matrix
+from qclock import cli
 from qclock.serialize import matrix_to_json, vector_to_json
 
 W6 = np.exp(2j * np.pi / 6)
@@ -254,3 +259,204 @@ def test_dynamic_past_the_kronecker_cap(tmp_path):
     proc = run_cli("dynamic", str(path))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_huge_generator_power_count_is_input_error(tmp_path):
+    # N * dim * dim = 1e13 entries: refused before any power is computed
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"N": 10**13, "generator": [[[1, 0]]]}))
+    _assert_input_error(run_cli("dynamic", str(path)), "'N'")
+    sync_doc = {"N": 10**13, "systems": [{"generator": [[[1, 0]]], "psi": [[1, 0]]}]}
+    path.write_text(json.dumps(sync_doc))
+    _assert_input_error(run_cli("sync", str(path)), "'N'")
+
+
+def test_negative_seed_is_input_error():
+    _assert_input_error(run_cli("--seed", "-1", "--self-test"), "--seed")
+
+
+def run_main(*args: str) -> tuple[int, str, str]:
+    """cli.main in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _doc_file(directory: Path, doc) -> str:
+    path = directory / "input.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+Z6_DOC = {"N": 6, "dim": 3, "generator": matrix_to_json(np.diag([1, W6**2, W6**4]))}
+SYNC_DOC = {
+    "N": 2,
+    "chi": 1,
+    "systems": [{"generator": matrix_to_json(X), "psi": vector_to_json(np.array([1, 0]))}] * 2,
+    "measure": [{"system": 1, "energy": 1}],
+}
+NOT_A_DYNAMIC = {"N": 2, "unitaries": [matrix_to_json(np.eye(2)), matrix_to_json(np.diag([1, 1j]))]}
+OPEN_CIRCUIT = {"N": 2, "gates": [matrix_to_json(X), matrix_to_json(np.eye(2))]}
+NON_SUBGROUP = {"N": 4, "generator": matrix_to_json(np.diag([1, 1j]))}
+
+# The structure laws and the self-test suites hold exactly on valid input, so
+# the failing runs of axioms and --self-test are bad input (exit 2, no report).
+REPORT_CASES = [
+    ("axioms", ["axioms", "4"], None, 0),
+    ("axioms", ["axioms", "0"], None, 2),
+    ("dynamic", ["dynamic"], {"N": 2, "generator": matrix_to_json(X)}, 0),
+    ("dynamic", ["dynamic"], NOT_A_DYNAMIC, 1),
+    ("feynman", ["feynman"], {"N": 2, "gates": [matrix_to_json(X)] * 2}, 0),
+    ("feynman", ["feynman"], OPEN_CIRCUIT, 1),
+    ("sync", ["sync"], SYNC_DOC, 0),
+    ("sync", ["--tol", "1e-18", "sync"], SYNC_DOC, 1),
+    ("internal-time", ["internal-time"], Z6_DOC, 0),
+    ("internal-time", ["internal-time"], NON_SUBGROUP, 1),
+    ("self-test", ["--self-test"], None, 0),
+    ("self-test", ["--seed", "-1", "--self-test"], None, 2),
+]
+
+
+@pytest.mark.parametrize("command, args, doc, code", REPORT_CASES)
+def test_every_report_has_the_common_layout(tmp_path, command, args, doc, code):
+    argv = args + ([_doc_file(tmp_path, doc)] if doc is not None else [])
+    got, out, err = run_main(*argv)
+    assert got == code, err
+    if code == 2:
+        assert out == "" and err.startswith("error:")
+        return
+    report = json.loads(out)
+    assert report["schema_version"] == 1 and report["command"] == command
+    assert isinstance(report["title"], str) and isinstance(report["notes"], list)
+    assert report["pass"] is (code == 0)
+    assert report["pass"] is all(c["pass"] for c in report["checks"])
+    assert report["max_error"] == max(c["max_error"] for c in report["checks"])
+
+
+def test_internal_time_permutation_residual_is_judged_at_tol(tmp_path):
+    path = _doc_file(tmp_path, {"N": 3, "generator": matrix_to_json(shift_matrix(3))})
+    code, out, _ = run_main("--tol", "1e-18", "internal-time", path)
+    assert code == 1
+    report = json.loads(out)
+    failed = [c["name"] for c in report["checks"] if not c["pass"]]
+    assert failed == ["one_step_advances_internal_time"]
+    assert 0 < report["permutation_error"] < 1e-12
+    assert report["subgroup"] is True and report["m"] == 3
+
+
+# -- fuzz: any JSON document gives exit 0, 1 or 2 and never raises
+
+# (generator, a state of its dimension); every generator has a finite period
+SYSTEMS = [
+    (np.eye(1), [1]),
+    (np.eye(2), [1, 0]),
+    (X, [1, 0]),
+    (X, [1, 1]),
+    (np.diag([1, 1j]), [0.6, 0.8j]),
+    (shift_matrix(3), [1, 0, 0]),
+    (phase_matrix(3), [1, 1, 1]),
+]
+DIM2 = [np.eye(2), X, np.diag([1, 1j]), np.diag([1, -1])]
+
+
+def _json_system(pair) -> dict:
+    gen, psi = pair
+    return {"generator": matrix_to_json(gen), "psi": vector_to_json(np.array(psi))}
+
+
+generator = st.sampled_from([g for g, _ in SYSTEMS]).map(matrix_to_json)
+small_n = st.integers(1, 6)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+free_vector = st.lists(st.tuples(finite, finite).map(list), min_size=2, max_size=2)
+free_matrix = st.lists(free_vector, min_size=2, max_size=2)
+
+
+def _stack(N: int):
+    """N matrices of shape 2x2: unitaries, or any finite entries up to 1e308."""
+    matrix = st.sampled_from(DIM2).map(matrix_to_json) | free_matrix
+    return st.lists(matrix, min_size=N, max_size=N)
+
+
+def _plausible_sync(N: int):
+    return st.fixed_dictionaries(
+        {
+            "N": st.just(N),
+            "chi": st.integers(0, N - 1),
+            "systems": st.lists(
+                st.sampled_from(SYSTEMS).map(_json_system)
+                | st.fixed_dictionaries({"unitaries": _stack(N), "psi": free_vector}),
+                min_size=1,
+                max_size=3,
+            ),
+        },
+        optional={
+            "measure": st.lists(
+                st.fixed_dictionaries(
+                    {"system": st.integers(0, 2), "energy": st.integers(0, N - 1)}
+                ),
+                max_size=2,
+            )
+        },
+    )
+
+
+# Well-formed documents whose contents may still fail a check or be refused
+plausible = st.one_of(
+    st.tuples(
+        st.sampled_from(["dynamic", "internal-time"]),
+        st.fixed_dictionaries({"N": small_n, "generator": generator}, optional={"dim": small_n})
+        | small_n.flatmap(
+            lambda N: st.fixed_dictionaries({"N": st.just(N), "unitaries": _stack(N)})
+        ),
+    ),
+    st.tuples(
+        st.just("feynman"),
+        small_n.flatmap(lambda N: st.fixed_dictionaries({"N": st.just(N), "gates": _stack(N)})),
+    ),
+    st.tuples(st.just("sync"), small_n.flatmap(_plausible_sync)),
+)
+
+# Anything JSON, with the expected keys present often enough to reach the parsers
+json_leaf = st.none() | st.booleans() | st.integers(-3, 10**6) | st.floats() | st.text(max_size=3)
+json_any = st.recursive(
+    json_leaf,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+entry = st.tuples(json_leaf, json_leaf).map(list) | json_any
+matrix = generator | st.lists(st.lists(entry, min_size=1, max_size=3), max_size=3) | json_any
+field = small_n | json_any
+wild_fields = {
+    "N": field,
+    "dim": field,
+    "chi": field,
+    "generator": matrix,
+    "unitaries": st.lists(matrix, max_size=4) | json_any,
+    "gates": st.lists(matrix, max_size=4) | json_any,
+    "systems": st.lists(
+        st.fixed_dictionaries(
+            {}, optional={"generator": matrix, "psi": st.lists(entry, max_size=3) | json_any}
+        )
+        | json_any,
+        max_size=3,
+    ),
+    "measure": st.lists(
+        st.fixed_dictionaries({}, optional={"system": field, "energy": field}), max_size=2
+    ),
+}
+wild = st.tuples(
+    st.sampled_from(["dynamic", "internal-time", "feynman", "sync"]),
+    st.fixed_dictionaries({}, optional=wild_fields) | json_any,
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=plausible | wild)
+def test_fuzzed_input_files_never_raise(tmp_path_factory, case):
+    command, doc = case
+    path = _doc_file(tmp_path_factory.mktemp("fuzz"), doc)
+    code, out, err = run_main("--max-dim", "4096", command, path)
+    assert code in (0, 1, 2)
+    assert (out != "") is (code != 2), err

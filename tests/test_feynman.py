@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import X
-from qclock import sampling
+from qclock import feynman, sampling
 from qclock.dynamics import validate_dynamic
 from qclock.clock import make_clock
 from qclock.errors import NotCyclicError, NotUnitaryError
@@ -143,8 +143,8 @@ def test_ground_space_of_xx_composite():
 def test_feynman_check_golden_xx():
     rep = feynman_check(make_circuit([X, X]))
     assert rep.passed
-    assert rep.cyclic and rep.ground_dim == 2 == rep.expected_dim
-    assert rep.max_residual < 1e-9
+    assert rep.facts["cyclic"] and rep.facts["ground_dim"] == 2 == rep.facts["expected_dim"]
+    assert rep.facts["max_residual"] < 1e-9
     # the two basis history states span the ground space
     gs = ground_space(composite_dynamic(make_circuit([X, X])))
     h0 = history_state(make_circuit([X, X]), [1, 0]) / np.sqrt(2)
@@ -155,13 +155,13 @@ def test_feynman_check_golden_xx():
 def test_feynman_check_identity_gates():
     rep = feynman_check(make_circuit([np.eye(2, dtype=complex)] * 5))
     assert rep.passed
-    assert rep.ground_dim == 2
+    assert rep.facts["ground_dim"] == 2
 
 
 def test_feynman_check_non_cyclic_reported():
     rep = feynman_check(make_circuit([X, np.eye(2, dtype=complex)]))
     assert not rep.passed
-    assert not rep.cyclic
+    assert not rep.facts["cyclic"]
 
 
 def test_feynman_random_cyclified_circuits():
@@ -192,3 +192,17 @@ def test_history_state_is_ground_component_of_lifted_state():
     lifted = np.kron(psi, basis_vector(c.N, 0))
     expected = c.N * (time_average(d) @ lifted)
     assert np.max(np.abs(history_state(c, psi) - expected)) < 1e-10
+
+
+@pytest.mark.parametrize("gates", [[X, X, X, X], [X, np.eye(2, dtype=complex)]])
+def test_feynman_check_computes_the_cycle_product_once(monkeypatch, gates):
+    calls = []
+
+    def counting(c):
+        calls.append(c)
+        return cycle_product(c)
+
+    monkeypatch.setattr(feynman, "cycle_product", counting)
+    rep = feynman_check(make_circuit(gates))
+    assert len(calls) == 1
+    assert rep.check("cycle_product_is_identity").passed is rep.facts["cyclic"]

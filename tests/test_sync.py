@@ -25,6 +25,7 @@ from qclock.sync import (
     conundrum_check,
     demolition_hamiltonian,
     dynamic_descent,
+    internal_time_check,
     internal_time_observable,
     is_nondegenerate,
     separable_dynamic,
@@ -251,6 +252,22 @@ def test_internal_time_of_clock_is_external_time():
     assert np.max(np.abs(desc.basis - np.eye(4))) < 1e-9
 
 
+def test_internal_time_check_stops_at_the_first_failure():
+    degenerate = internal_time_check(constant_dynamic(3, 2))
+    assert [(c.name, c.max_error) for c in degenerate.checks] == [("nondegenerate_spectrum", 1.0)]
+    assert degenerate.facts == {"N": 3, "nondegenerate": False, "subgroup": False}
+
+    open_image = internal_time_check(dynamic_from_generator(np.diag([1, 1j]), 4))
+    assert [c.passed for c in open_image.checks] == [True, False]
+    assert open_image.check("energy_image_is_subgroup").max_error == 2.0  # misses 2 and 3
+    assert open_image.facts["energies"] == [0, 1] and open_image.facts["subgroup"] is False
+
+    rep = internal_time_check(dynamic_from_generator(Z6_CLOCK, 6), 1e-12)
+    assert rep.passed and len(rep.checks) == 3
+    assert (rep.facts["g"], rep.facts["m"]) == (2, 3)
+    assert rep.check("one_step_advances_internal_time").max_error == rep.facts["permutation_error"]
+
+
 def _brute_force_closed(subset, N):
     return all((a + b) % N in subset for a in subset for b in subset)
 
@@ -267,6 +284,7 @@ def test_subgroup_criterion_matches_brute_force(N):
             except NotASubgroupError:
                 decided = False
             assert decided == _brute_force_closed(set(subset), N), subset
+            assert internal_time_check(d).passed == decided, subset
 
 
 def test_descent_trivial_when_internal_clock_is_external():
