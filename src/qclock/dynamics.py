@@ -26,12 +26,8 @@ from .errors import (
     NotUnitaryError,
     ShapeMismatchError,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_tolerance, identity
+from .linalg import DEFAULT_TOL, SUPPORT_THRESHOLD, Tolerance, as_tolerance, identity
 from .reports import Check, Report
-
-#: Entries of a genuinely vanishing projector are averages of N roots of
-#: unity and land around 1e-15 at desk scale; anything above this is support.
-SUPPORT_THRESHOLD = 1e-7
 
 
 @dataclass(frozen=True)
@@ -59,10 +55,13 @@ class ProjectionSpectrum:
     projectors: np.ndarray  # shape (N, dim, dim)
     support: tuple[int, ...]
     ranks: dict[int, int] = field(init=False)  # supported E -> rounded trace
+    completeness: float = field(init=False)  # max entry of sum_E P_E - I
 
     def __post_init__(self):
         traces = np.trace(self.projectors, axis1=1, axis2=2).real
         object.__setattr__(self, "ranks", {E: round(float(traces[E])) for E in self.support})
+        total = self.projectors.sum(axis=0)
+        object.__setattr__(self, "completeness", linalg.max_abs_diff(total, identity(self.dim)))
 
 
 def constant_dynamic(N: int, dim: int) -> UnitaryDynamic:
@@ -149,13 +148,15 @@ def spectral_projector(d: UnitaryDynamic, E: int) -> np.ndarray:
     return np.tensordot(phases, d.unitaries, axes=1) / d.N
 
 
-def hamiltonian(
-    d: UnitaryDynamic, support_threshold: float = SUPPORT_THRESHOLD
-) -> ProjectionSpectrum:
-    """Full projector family (one FFT of the family along t), with its support."""
+def hamiltonian(d: UnitaryDynamic) -> ProjectionSpectrum:
+    """Full projector family (one FFT of the family along t), with its support.
+
+    A label is supported when its projector has an entry above
+    ``SUPPORT_THRESHOLD``.
+    """
     stack = np.fft.fft(d.unitaries, axis=0) / d.N
     peaks = np.abs(stack).max(axis=(1, 2))
-    support = tuple(int(E) for E in np.flatnonzero(peaks > support_threshold))
+    support = tuple(int(E) for E in np.flatnonzero(peaks > SUPPORT_THRESHOLD))
     return ProjectionSpectrum(N=d.N, dim=d.dim, projectors=stack, support=support)
 
 
@@ -180,30 +181,31 @@ def spectrum_checks(
     off_peak = np.delete(peaks, s.support).max(initial=0.0)
     roundoff = 1.0 + 8 * s.dim * np.finfo(float).eps
     orth = max(orth, float(s.dim * off_peak * peaks.max() * roundoff))
-    comp = linalg.max_abs_diff(p.sum(axis=0), identity(s.dim))
     return Report(
         title=f"projector spectrum (N={s.N}, dim={s.dim})",
         checks=(
             Check("idempotence", idem, eps),
             Check("self_adjointness", herm, eps),
             Check("orthogonality", orth, eps),
-            Check("completeness", comp, eps),
+            Check("completeness", s.completeness, eps),
         ),
     )
+
+
+def stone_resum(s: ProjectionSpectrum) -> np.ndarray:
+    """The stack U_t = sum_E chi_E(t) P_E (an inverse FFT), for any family."""
+    return np.fft.ifft(s.projectors, axis=0) * s.N
 
 
 def stone_reconstruct(
     s: ProjectionSpectrum, tol: Tolerance | float = DEFAULT_TOL
 ) -> UnitaryDynamic:
-    """Rebuild the dynamic as U_t = sum_E chi_E(t) P_E (an inverse FFT)."""
-    eps = as_tolerance(tol).eps
-    err = linalg.max_abs_diff(s.projectors.sum(axis=0), identity(s.dim))
-    if err > eps:
+    """Rebuild the dynamic from a complete spectrum by ``stone_resum``."""
+    if s.completeness > as_tolerance(tol).eps:
         raise IncompleteSpectrumError(
-            f"projectors sum to identity only within {err:.3e}"
+            f"projectors sum to identity only within {s.completeness:.3e}"
         )
-    stack = np.fft.ifft(s.projectors, axis=0) * s.N
-    return UnitaryDynamic(N=s.N, dim=s.dim, unitaries=stack)
+    return UnitaryDynamic(N=s.N, dim=s.dim, unitaries=stone_resum(s))
 
 
 def time_average(d: UnitaryDynamic) -> np.ndarray:

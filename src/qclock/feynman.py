@@ -23,9 +23,6 @@ from .errors import NotCyclicError, NotUnitaryError, ShapeMismatchError
 from .linalg import DEFAULT_TOL, Tolerance, as_tolerance, identity
 from .reports import Check, Report
 
-#: Columns of the fixed-point projector below this norm carry no rank.
-RANK_THRESHOLD = 1e-7
-
 
 @dataclass(frozen=True)
 class CyclicCircuit:
@@ -135,11 +132,9 @@ def _history(c: CyclicCircuit, psi0: np.ndarray) -> np.ndarray:
     return cols.reshape(-1)  # index = h * N + t
 
 
-def ground_space(d: UnitaryDynamic, rank_threshold: float = RANK_THRESHOLD) -> GroundSpace:
+def ground_space(d: UnitaryDynamic) -> GroundSpace:
     """Joint fixed points of the family, from the range of the time average."""
-    p0 = time_average(d)
-    basis = linalg.orthonormal_range(p0, rank_threshold)
-    return GroundSpace(ambient_dim=d.dim, basis=basis)
+    return GroundSpace(ambient_dim=d.dim, basis=linalg.orthonormal_range(time_average(d)))
 
 
 def feynman_check(
@@ -195,8 +190,8 @@ def stationarity_check(
 ) -> Report:
     """History states are fixed by every composite power."""
     eps = as_tolerance(tol).eps
-    comp = composite_dynamic(c, tol)
-    h = history_state(c, psi0, tol)
+    h = history_state(c, psi0, tol)  # checks the cycle, so composite_dynamic is not needed
+    comp = dynamic_from_generator(composite_step(c), c.N, tol)
     err = max(
         linalg.max_abs_diff(comp.unitaries[t] @ h, h) for t in range(comp.N)
     )

@@ -41,7 +41,10 @@ def check_entries(rows: int, cols: int = 1) -> None:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute per-entry comparison bound."""
+    """Absolute per-entry comparison bound; the one bound a caller sets.
+
+    Every check judged at it reports ``eps`` as its ``Check.tol``.
+    """
 
     eps: float = 1e-9
 
@@ -51,6 +54,17 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+# Fixed floors: they decide what counts as zero, and no caller sets them.
+
+#: A projector's largest entry (its peak), or a residual column norm in
+#: ``orthonormal_range``, at or below this is zero.  Entries of a vanishing
+#: projector are averages of N roots of unity, around 1e-15 at desk scale.
+SUPPORT_THRESHOLD = 1e-7
+#: Roundoff floor for a state norm or a distribution weight.
+ZERO_NORM = 1e-12
+#: The self-test judges every suite at no less than this.
+SELF_TEST_FLOOR = 1e-8
 
 
 def as_tolerance(tol: Tolerance | float) -> Tolerance:
@@ -132,12 +146,10 @@ def rank1_eigvec(p: np.ndarray) -> np.ndarray:
     return v / phase
 
 
-def orthonormal_range(
-    mat: np.ndarray, rank_threshold: float = 1e-7
-) -> np.ndarray:
+def orthonormal_range(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column space, via pivoted modified Gram-Schmidt.
 
-    Columns whose residual norm falls below ``rank_threshold`` are treated as
+    Columns whose residual norm is at most ``SUPPORT_THRESHOLD`` are treated as
     dependent.  Adequate for (near-)projectors, where the spectrum is far from
     the threshold; no general eigensolver involved.
     """
@@ -146,7 +158,7 @@ def orthonormal_range(
     for _ in range(min(work.shape)):
         norms = np.linalg.norm(work, axis=0)
         pivot = int(np.argmax(norms))
-        if norms[pivot] <= rank_threshold:
+        if norms[pivot] <= SUPPORT_THRESHOLD:
             break
         q = work[:, pivot] / norms[pivot]
         basis.append(q)

@@ -25,14 +25,11 @@ from .errors import (
     NotNormalisedError,
     ShapeMismatchError,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_tolerance, identity
+from .linalg import DEFAULT_TOL, ZERO_NORM, Tolerance, as_tolerance, identity
 from .reports import Check, Report
 
 TIME_FLAVOUR = "time-structure"
 GROUP_FLAVOUR = "group-structure"
-
-#: Weights more negative than this indicate a real error, not roundoff.
-NEGATIVITY_THRESHOLD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,11 +66,9 @@ def observable_from_spectrum(
 
 
 def _energy_observable(s: ProjectionSpectrum, tol: Tolerance | float) -> Observable:
-    eps = as_tolerance(tol).eps
-    err = linalg.max_abs_diff(s.projectors.sum(axis=0), identity(s.dim))
-    if err > eps:
+    if s.completeness > as_tolerance(tol).eps:
         raise IncompleteSpectrumError(
-            f"projectors sum to identity only within {err:.3e}"
+            f"projectors sum to identity only within {s.completeness:.3e}"
         )
     # map[h*N + t, h'] = sum_E P_E[h, h'] * conj(chi_E(t)), a forward FFT over E
     blocks = np.fft.fft(s.projectors, axis=0)
@@ -154,12 +149,12 @@ def demolition_measurement(
     else:
         weights = clock_leg
 
-    if np.max(np.abs(weights.imag)) > 10 * max(eps, NEGATIVITY_THRESHOLD):
+    if np.max(np.abs(weights.imag)) > 10 * max(eps, ZERO_NORM):
         raise DistributionError(
             f"weights have imaginary part up to {np.max(np.abs(weights.imag)):.3e}"
         )
     w = weights.real.copy()
-    if np.min(w) < -NEGATIVITY_THRESHOLD:
+    if np.min(w) < -ZERO_NORM:
         raise DistributionError(f"weight {np.min(w):.3e} below negativity threshold")
     w[w < 0.0] = 0.0
     return w
@@ -228,7 +223,7 @@ def uncertainty_check(
     rng = rng or np.random.default_rng(0)
     N = dU.N
     spec_u, spec_v = hamiltonian(dU), hamiltonian(dV)
-    obs = _energy_observable(spec_u, DEFAULT_TOL)
+    obs = _energy_observable(spec_u, tol)
 
     weyl = _weyl(dU, dV, spec_u.support, spec_v.support, tol)
     checks = [Check("weyl_precondition", weyl.max_error, eps)]

@@ -21,15 +21,13 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_dynamic(
-    N: int, dim: int, rng: np.random.Generator, tol: float = 1e-9
-) -> UnitaryDynamic:
+def random_dynamic(N: int, dim: int, rng: np.random.Generator) -> UnitaryDynamic:
     """Random Z/N dynamic with eigenphases at N-th roots of unity."""
     v = haar_unitary(dim, rng)
     k = rng.integers(0, N, size=dim)
     phases = np.exp(2j * np.pi * k / N)
     gen = (v * phases) @ v.conj().T
-    return dynamic_from_generator(gen, N, tol)
+    return dynamic_from_generator(gen, N)
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -14,13 +14,13 @@ from .clock import make_clock
 from .dynamics import (
     hamiltonian,
     spectral_projector,
-    stone_reconstruct,
+    stone_resum,
     time_average,
     validate_dynamic,
 )
 from .feynman import feynman_check
 from .histories import history_from_state, is_em_morphism, reconstruct_history, schrodinger_solve
-from .linalg import Tolerance, as_tolerance, max_abs_diff
+from .linalg import DEFAULT_TOL, SELF_TEST_FLOOR, Tolerance, as_tolerance, max_abs_diff
 from .reports import Check, Report
 from .sync import clock_energy_collapse, subsystem_energy_measure
 from .errors import OrthogonalEigenstateError
@@ -33,8 +33,7 @@ def _stone_suite(rng: np.random.Generator, eps: float) -> list[Check]:
         dim = int(rng.integers(1, 6))
         d = sampling.random_dynamic(N, dim, rng)
         err_axioms = max(err_axioms, validate_dynamic(d, make_clock(N)).max_error)
-        rebuilt = stone_reconstruct(hamiltonian(d))
-        err_round = max(err_round, max_abs_diff(rebuilt.unitaries, d.unitaries))
+        err_round = max(err_round, max_abs_diff(stone_resum(hamiltonian(d)), d.unitaries))
         err_ergodic = max(
             err_ergodic, max_abs_diff(time_average(d), spectral_projector(d, 0))
         )
@@ -68,18 +67,17 @@ def _history_suite(rng: np.random.Generator, eps: float) -> list[Check]:
 
 
 def _feynman_suite(rng: np.random.Generator, eps: float) -> list[Check]:
-    err = 0.0
-    dims_ok = True
+    err = gap = 0.0
     for _ in range(10):
         n = int(rng.integers(1, 5))
         dim = int(rng.integers(1, 5))
         c = sampling.random_cyclified_circuit(n, dim, rng)
-        rep = feynman_check(c, Tolerance(max(eps, 1e-8)))
+        rep = feynman_check(c, eps)
         err = max(err, rep.facts["max_residual"])
-        dims_ok = dims_ok and rep.facts["ground_dim"] == rep.facts["expected_dim"]
+        gap = max(gap, float(abs(rep.facts["ground_dim"] - rep.facts["expected_dim"])))
     return [
-        Check("history_states_span_ground_space", err, max(eps, 1e-8)),
-        Check("ground_dimension_equals_system", 0.0 if dims_ok else 1.0, 0.5),
+        Check("history_states_span_ground_space", err, eps),
+        Check("ground_dimension_equals_system", gap, 0.0),
     ]
 
 
@@ -101,14 +99,17 @@ def _conservation_suite(rng: np.random.Generator, eps: float) -> list[Check]:
             err_measure = max(err_measure, res.residual)
             break
     return [
-        Check("clock_energy_collapse", err_collapse, max(eps, 1e-8)),
-        Check("subsystem_energy_measure", err_measure, max(eps, 1e-8)),
+        Check("clock_energy_collapse", err_collapse, eps),
+        Check("subsystem_energy_measure", err_measure, eps),
     ]
 
 
-def run_self_test(seed: int = 0, tol: Tolerance | float = 1e-8) -> Report:
-    """Run all randomised suites with one seed; deterministic given the seed."""
-    eps = as_tolerance(tol).eps
+def run_self_test(seed: int = 0, tol: Tolerance | float = DEFAULT_TOL) -> Report:
+    """Run all randomised suites with one seed; deterministic given the seed.
+
+    Every suite is judged at ``tol`` raised to at least ``SELF_TEST_FLOOR``.
+    """
+    eps = max(as_tolerance(tol).eps, SELF_TEST_FLOOR)
     checks: list[Check] = []
     checks += _stone_suite(np.random.default_rng(seed), eps)
     checks += _history_suite(np.random.default_rng(seed + 1), eps)

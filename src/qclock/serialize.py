@@ -17,6 +17,7 @@ from . import linalg
 from .dynamics import UnitaryDynamic, dynamic_from_generator
 from .errors import InputFormatError
 from .feynman import CyclicCircuit, make_circuit
+from .linalg import DEFAULT_TOL, Tolerance
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -89,7 +90,7 @@ def dynamic_to_json(d: UnitaryDynamic, generator: np.ndarray | None = None) -> d
     }
 
 
-def dynamic_from_json(doc: Any, tol: float = 1e-9) -> UnitaryDynamic:
+def dynamic_from_json(doc: Any, tol: Tolerance | float = DEFAULT_TOL) -> UnitaryDynamic:
     if not isinstance(doc, dict):
         raise InputFormatError("$", "expected a JSON object")
     N = _require_int(doc, "N")
@@ -129,7 +130,7 @@ def circuit_to_json(c: CyclicCircuit) -> dict:
     }
 
 
-def circuit_from_json(doc: Any, tol: float = 1e-9) -> CyclicCircuit:
+def circuit_from_json(doc: Any, tol: Tolerance | float = DEFAULT_TOL) -> CyclicCircuit:
     if not isinstance(doc, dict):
         raise InputFormatError("$", "expected a JSON object")
     N = _require_int(doc, "N")

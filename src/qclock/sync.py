@@ -35,11 +35,8 @@ from .errors import (
     OrthogonalEigenstateError,
     ShapeMismatchError,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_tolerance
+from .linalg import DEFAULT_TOL, ZERO_NORM, Tolerance, as_tolerance
 from .reports import Check, Report
-
-#: States with norm below this are treated as zero in proportionality checks.
-ZERO_NORM = 1e-12
 
 
 @dataclass(frozen=True)
@@ -127,15 +124,12 @@ def conundrum_check(
             time_first = np.multiply.outer(q, p).transpose(2, 0, 3, 1)
             comm = max(comm, linalg.max_abs_diff(energy_first, time_first))
 
-    energy_complete = linalg.max_abs_diff(
-        spec.projectors.sum(axis=0), linalg.identity(d.dim)
-    )
     time_complete = linalg.max_abs_diff(time_projectors.sum(axis=0), linalg.identity(N))
     return Report(
         title=f"simultaneous time/energy measurability (N={N}, dim={d.dim})",
         checks=(
             Check("commutators", comm, eps),
-            Check("energy_completeness", energy_complete, eps),
+            Check("energy_completeness", spec.completeness, eps),
             Check("time_completeness", time_complete, eps),
         ),
     )

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import X, phase_matrix, shift_matrix
 from qclock import cli
+from qclock.linalg import SELF_TEST_FLOOR
+from qclock.selftest import run_self_test
 from qclock.serialize import matrix_to_json, vector_to_json
 
 W6 = np.exp(2j * np.pi / 6)
@@ -332,6 +334,24 @@ def test_every_report_has_the_common_layout(tmp_path, command, args, doc, code):
     assert report["pass"] is (code == 0)
     assert report["pass"] is all(c["pass"] for c in report["checks"])
     assert report["max_error"] == max(c["max_error"] for c in report["checks"])
+
+
+def test_dynamic_failing_the_laws_is_a_failed_check(tmp_path):
+    # U_0 = X is not the identity and sum_E P_E = U_0 is not either: a verdict, not bad input
+    doc = {"N": 2, "unitaries": [matrix_to_json(X), matrix_to_json(np.eye(2))]}
+    code, out, err = run_main("dynamic", _doc_file(tmp_path, doc))
+    assert code == 1, err
+    report = json.loads(out)
+    failed = {c["name"] for c in report["checks"] if not c["pass"]}
+    assert {"unit_law", "completeness"} <= failed
+
+
+def test_library_self_test_matches_the_cli_self_test():
+    code, out, _ = run_main("--tol", "1e-12", "--seed", "3", "--self-test")
+    assert code == 0
+    report = run_self_test(3, 1e-12)
+    assert json.loads(out)["checks"] == [c.as_dict() for c in report.checks]
+    assert {c.tol for c in report.checks} == {0.0, SELF_TEST_FLOOR}
 
 
 def test_internal_time_permutation_residual_is_judged_at_tol(tmp_path):

@@ -6,6 +6,7 @@ from qclock import observables
 from qclock.clock import Character, character_vector, make_clock
 from qclock.dynamics import (
     ProjectionSpectrum,
+    UnitaryDynamic,
     clock_dynamic,
     constant_dynamic,
     dynamic_from_generator,
@@ -204,6 +205,20 @@ def test_unbiasedness_computes_each_spectrum_once(monkeypatch):
     dV = dynamic_from_generator(phase_matrix(N), N)
     assert uncertainty_check(dU, dV).passed
     assert sorted(calls.values()) == [1, 1]
+
+
+def test_uncertainty_check_judges_completeness_at_the_callers_tol():
+    # sum_E P_E = U_0, so a 5e-9 slip in U_0 is incomplete at 1e-9 but not at 1e-6
+    N = 4
+    stack = dynamic_from_generator(shift_matrix(N), N).unitaries.copy()
+    stack[0, 0, 0] += 5e-9
+    dU = UnitaryDynamic(N=N, dim=N, unitaries=stack)
+    dV = dynamic_from_generator(phase_matrix(N), N)
+    with pytest.raises(IncompleteSpectrumError):
+        uncertainty_check(dU, dV)
+    report = uncertainty_check(dU, dV, tol=1e-6)
+    assert report.passed
+    assert {c.tol for c in report.checks} == {1e-6}
 
 
 def test_uncertainty_needs_no_clock_structures():
