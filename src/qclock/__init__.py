@@ -92,6 +92,7 @@ from .observables import (
 from .reports import Check, Report
 from .sync import (
     CollapseResult,
+    EnergyFamily,
     InternalClockDescriptor,
     MeasureResult,
     SyncState,
@@ -102,7 +103,6 @@ from .sync import (
     internal_time_check,
     internal_time_observable,
     is_nondegenerate,
-    separable_dynamic,
     subsystem_energy_measure,
     synchronized_family,
     synchronized_pair,

@@ -31,7 +31,7 @@ from .feynman import feynman_check
 from .linalg import DEFAULT_TOL, ZERO_NORM, Tolerance, max_abs_diff
 from .reports import Check, Report
 from .selftest import run_self_test
-from .sync import clock_energy_collapse, internal_time_check, subsystem_energy_measure
+from .sync import EnergyFamily, internal_time_check
 
 SCHEMA_VERSION = 1
 
@@ -145,13 +145,14 @@ def _parse_sync_file(doc, tol: Tolerance):
 
 def _cmd_sync(args, tol: Tolerance) -> Report:
     ds, psis, chi, measures = _parse_sync_file(_load_json(args.file), tol)
-    collapse = clock_energy_collapse(ds, psis, chi)
+    family = EnergyFamily(ds, psis, chi)  # each spectrum and the family, once
+    collapse = family.collapse()
     if np.linalg.norm(collapse.state.amplitudes) <= ZERO_NORM:
         raise InputFormatError("chi", f"the family at total energy {chi} is zero")
     checks = [Check("clock_energy_collapse_matches_family", collapse.residual, tol.eps)]
     for i, mdoc in enumerate(measures):
         try:
-            res = subsystem_energy_measure(ds, psis, chi, mdoc["system"], mdoc["energy"], tol)
+            res = family.measure(mdoc["system"], mdoc["energy"])
         except (DegenerateError, OrthogonalEigenstateError) as exc:
             raise InputFormatError(f"measure[{i}]", str(exc))
         name = f"energy_conservation_measure_{mdoc['system']}_at_{mdoc['energy']}"

@@ -54,12 +54,16 @@ class ProjectionSpectrum:
     dim: int
     projectors: np.ndarray  # shape (N, dim, dim)
     support: tuple[int, ...]
-    ranks: dict[int, int] = field(init=False)  # supported E -> rounded trace
+    ranks: dict[int, int] = field(init=False)  # supported E -> round(trace(P_E^dag P_E))
     completeness: float = field(init=False)  # max entry of sum_E P_E - I
 
     def __post_init__(self):
-        traces = np.trace(self.projectors, axis1=1, axis2=2).real
-        object.__setattr__(self, "ranks", {E: round(float(traces[E])) for E in self.support})
+        # trace(P^dag P), summed one label at a time so that no stack-sized temporary is
+        # built: never negative, trace(P) for a projector, and capped at dim, which also
+        # reads a sum that overflowed to inf
+        pairs = np.ascontiguousarray(self.projectors).view(np.float64)  # (re, im) pairs
+        ranks = {E: round(min(float(np.vdot(pairs[E], pairs[E])), self.dim)) for E in self.support}
+        object.__setattr__(self, "ranks", ranks)
         total = self.projectors.sum(axis=0)
         object.__setattr__(self, "completeness", linalg.max_abs_diff(total, identity(self.dim)))
 

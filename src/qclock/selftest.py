@@ -22,7 +22,7 @@ from .feynman import feynman_check
 from .histories import history_from_state, is_em_morphism, reconstruct_history, schrodinger_solve
 from .linalg import DEFAULT_TOL, SELF_TEST_FLOOR, Tolerance, as_tolerance, max_abs_diff
 from .reports import Check, Report
-from .sync import clock_energy_collapse, subsystem_energy_measure
+from .sync import EnergyFamily
 from .errors import OrthogonalEigenstateError
 
 
@@ -89,11 +89,12 @@ def _conservation_suite(rng: np.random.Generator, eps: float) -> list[Check]:
         ds = [sampling.random_dynamic(N, int(rng.integers(1, 4)), rng) for _ in range(M)]
         psis = [sampling.random_state(d.dim, rng) for d in ds]
         chi = int(rng.integers(0, N))
-        err_collapse = max(err_collapse, clock_energy_collapse(ds, psis, chi).residual)
-        rank1 = [E for E, rank in hamiltonian(ds[-1]).ranks.items() if rank == 1]
+        family = EnergyFamily(ds, psis, chi)
+        err_collapse = max(err_collapse, family.collapse().residual)
+        rank1 = [E for E, rank in family.specs[-1].ranks.items() if rank == 1]
         for E in rank1:
             try:
-                res = subsystem_energy_measure(ds, psis, chi, M - 1, E)
+                res = family.measure(M - 1, E)
             except OrthogonalEigenstateError:
                 continue
             err_measure = max(err_measure, res.residual)

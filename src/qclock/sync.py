@@ -13,7 +13,6 @@ a partner system descends.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -135,38 +134,113 @@ def conundrum_check(
     )
 
 
-def _family_components(ds, psis, chi: int, specs) -> list[np.ndarray]:
-    """Per-system stacks c_j[E] = P_E psi_j, each of shape (N, dim_j)."""
-    if not ds:
-        raise ValueError("family needs at least one system")
-    N = ds[0].N
-    if any(d.N != N for d in ds):
-        raise ShapeMismatchError("all family members must share the clock size N")
-    if not (0 <= chi < N):
-        raise ValueError(f"total energy {chi} outside [0, {N})")
-    out = []
-    for d, spec, psi in zip(ds, specs, psis):
-        psi = linalg.as_vector(psi)
-        if psi.shape[0] != d.dim:
-            raise ShapeMismatchError(
-                f"state of dim {psi.shape[0]}, dynamic on dim {d.dim}"
-            )
-        out.append(np.einsum("eij,j->ei", spec.projectors, psi))
-    return out
+def _energy_convolution(comps: Sequence[np.ndarray], specs) -> np.ndarray:
+    """acc[e] = sum over supported E_1..E_M, sum E_j = e (mod N), of (x)_j comps[j][E_j].
 
-
-def _family_amplitudes(comps: Sequence[np.ndarray], chi: int) -> np.ndarray:
-    """sum over (E_1..E_M), sum E_j = chi (mod N), of (x)_j comps[j][E_j]."""
+    A cyclic convolution over the energy axis, one system at a time: each
+    supported label b of the next system adds acc[e - b] (x) comps[j][b].
+    The result has shape (N, prod dim_j).
+    """
     N = comps[0].shape[0]
-    total = np.zeros(int(np.prod([c.shape[1] for c in comps])), dtype=np.complex128)
-    for labels in itertools.product(range(N), repeat=len(comps)):
-        if sum(labels) % N != chi:
-            continue
-        term = comps[0][labels[0]]
-        for j in range(1, len(comps)):
-            term = np.kron(term, comps[j][labels[j]])
-        total += term
-    return total
+    acc = np.zeros((N, 1), dtype=np.complex128)
+    acc[0, 0] = 1.0
+    for c, spec in zip(comps, specs):
+        nxt = np.zeros((N, acc.shape[1], c.shape[1]), dtype=np.complex128)
+        for b in spec.support:
+            nxt += np.roll(acc, b, axis=0)[:, :, None] * c[b]
+        acc = nxt.reshape(N, -1)
+    return acc
+
+
+class EnergyFamily:
+    """The synchronised family of M systems sharing a clock, at total energy chi.
+
+    Each system's spectrum is computed once.  ``state`` holds the family,
+    sum over (E_1..E_M) with sum E_j = chi (mod N) of (x)_j P_{E_j} psi_j,
+    built by cyclic convolution over energy at O(M N^2 D) for D the product
+    of the system dims; ``collapse`` builds it again as a sum over time and
+    ``measure`` contracts one factor of it.  No array beyond N x D is built.
+    """
+
+    def __init__(self, ds: Sequence[UnitaryDynamic], psis: Sequence, chi: int):
+        if not ds:
+            raise ValueError("family needs at least one system")
+        N = ds[0].N
+        if any(d.N != N for d in ds):
+            raise ShapeMismatchError("all family members must share the clock size N")
+        if not (0 <= chi < N):
+            raise ValueError(f"total energy {chi} outside [0, {N})")
+        self.ds, self.chi = tuple(ds), chi
+        self.psis = tuple(linalg.as_vector(psi) for psi in psis)
+        for d, psi in zip(self.ds, self.psis):
+            if psi.shape[0] != d.dim:
+                raise ShapeMismatchError(f"state of dim {psi.shape[0]}, dynamic on dim {d.dim}")
+        dims = tuple(d.dim for d in self.ds)
+        linalg.check_entries(N, math.prod(dims))
+        self.specs = tuple(hamiltonian(d) for d in self.ds)
+        # comps[j][E] = P_E psi_j, of shape (N, dim_j)
+        self.comps = tuple(
+            np.einsum("eij,j->ei", spec.projectors, psi)
+            for spec, psi in zip(self.specs, self.psis)
+        )
+        amplitudes = _energy_convolution(self.comps, self.specs)[chi]
+        self.state = SyncState(factor_dims=dims, amplitudes=amplitudes)
+
+    def collapse(self) -> CollapseResult:
+        """Project the clock of sum_t (x)_j (U_t^(j) psi_j) (x) |t> onto level -chi.
+
+        The clock leg is contracted with the energy functional of level -chi
+        (values chi_{-chi}(t)), from the per-system trajectories at O(N M D);
+        the result must be proportional, with nonzero factor, to ``state``.
+        The residual of that proportionality is returned.
+        """
+        N = self.ds[0].N
+        joint = np.ones((N, 1), dtype=np.complex128)  # joint[t] = (x)_j U_t psi_j
+        for d, psi in zip(self.ds, self.psis):
+            trajectory = np.einsum("tij,j->ti", d.unitaries, psi)
+            joint = (joint[:, :, None] * trajectory[:, None, :]).reshape(N, -1)
+        effect = np.exp(2j * np.pi * (-self.chi % N) * np.arange(N) / N)  # chi_{-chi}(t)
+        collapsed = effect @ joint
+        return CollapseResult(
+            state=SyncState(factor_dims=self.state.factor_dims, amplitudes=collapsed),
+            residual=_proportionality_residual(collapsed, self.state.amplitudes),
+        )
+
+    def measure(self, j: int, Eprime: int) -> MeasureResult:
+        """Measure member j at energy Eprime.
+
+        Contracting factor j of ``state`` with the (rank-1) eigenstate at
+        Eprime must leave, up to the returned amplitude, the family of the
+        remaining systems with total energy chi - Eprime mod N, which is
+        convolved afresh from their components.
+        """
+        N = self.ds[0].N
+        E = Eprime % N
+        spec = self.specs[j]
+        rank = spec.ranks.get(E, 0)
+        if rank != 1:
+            raise DegenerateError(f"system {j} has rank-{rank} projector at energy {Eprime}")
+        phi = linalg.rank1_eigvec(spec.projectors[E])
+        overlap = complex(np.vdot(phi, self.comps[j][E]))
+        if abs(overlap) <= ZERO_NORM:
+            raise OrthogonalEigenstateError(
+                f"eigenstate at energy {Eprime} is orthogonal to the state of system {j}"
+            )
+        rest = [i for i in range(len(self.ds)) if i != j]
+        if not rest:
+            raise ValueError("family needs at least one system")
+
+        dims = self.state.factor_dims
+        factors = self.state.amplitudes.reshape(dims)
+        contracted = np.tensordot(phi.conj(), factors, axes=([0], [j])).reshape(-1)
+        expected = _energy_convolution(
+            [self.comps[i] for i in rest], [self.specs[i] for i in rest]
+        )[(self.chi - E) % N]
+        return MeasureResult(
+            state=SyncState(factor_dims=tuple(dims[i] for i in rest), amplitudes=contracted),
+            amplitude=overlap,
+            residual=_proportionality_residual(contracted, expected),
+        )
 
 
 def synchronized_family(
@@ -177,27 +251,7 @@ def synchronized_family(
     amplitudes = sum over (E_1..E_M), sum E_j = chi (mod N), of
     (x)_j P_{E_j} psi_j.
     """
-    comps = _family_components(ds, psis, chi, [hamiltonian(d) for d in ds])
-    dims = tuple(d.dim for d in ds)
-    return SyncState(factor_dims=dims, amplitudes=_family_amplitudes(comps, chi))
-
-
-def separable_dynamic(ds: Sequence[UnitaryDynamic]) -> UnitaryDynamic:
-    """Composite dynamic on the tensor product, U_t = (x)_j U_t^(j)."""
-    if not ds:
-        raise ValueError("need at least one factor dynamic")
-    N = ds[0].N
-    if any(d.N != N for d in ds):
-        raise ShapeMismatchError("all factors must share the clock size N")
-    dim = int(np.prod([d.dim for d in ds]))
-    linalg.check_entries(dim, dim)
-    stack = np.empty((N, dim, dim), dtype=np.complex128)
-    for t in range(N):
-        u = ds[0].unitaries[t]
-        for d in ds[1:]:
-            u = np.kron(u, d.unitaries[t])
-        stack[t] = u
-    return UnitaryDynamic(N=N, dim=dim, unitaries=stack)
+    return EnergyFamily(ds, psis, chi).state
 
 
 def _proportionality_residual(a: np.ndarray, b: np.ndarray) -> float:
@@ -215,80 +269,19 @@ def clock_energy_collapse(
 ) -> CollapseResult:
     """Project the clock of a separable synchronised pair onto level -chi.
 
-    The clock leg of sum_t (U_t psi) (x) |t> is contracted with the energy
-    functional of level -chi (row values chi_{-chi}(t)); the result must be
-    proportional, with nonzero factor, to the synchronised family with
-    total energy chi.  The residual of that proportionality is returned.
+    See ``EnergyFamily.collapse``.
     """
-    composite = separable_dynamic(ds)
-    psi = psis[0]
-    for p in psis[1:]:
-        psi = np.kron(linalg.as_vector(psi), linalg.as_vector(p))
-    pair = synchronized_pair(composite, psi)
-
-    N = composite.N
-    if not (0 <= chi < N):
-        raise ValueError(f"energy level {chi} outside [0, {N})")
-    effect = np.exp(2j * np.pi * (-chi % N) * np.arange(N) / N)  # chi_{-chi}(t)
-    collapsed = pair.amplitudes.reshape(-1, N) @ effect
-
-    family = synchronized_family(ds, psis, chi)
-    residual = _proportionality_residual(collapsed, family.amplitudes)
-    return CollapseResult(
-        state=SyncState(factor_dims=family.factor_dims, amplitudes=collapsed),
-        residual=residual,
-    )
+    return EnergyFamily(ds, psis, chi).collapse()
 
 
 def subsystem_energy_measure(
-    ds: Sequence[UnitaryDynamic],
-    psis: Sequence,
-    chi: int,
-    j: int,
-    Eprime: int,
-    tol: Tolerance | float = DEFAULT_TOL,
+    ds: Sequence[UnitaryDynamic], psis: Sequence, chi: int, j: int, Eprime: int
 ) -> MeasureResult:
     """Measure member j of a synchronised family at energy Eprime.
 
-    Contracting factor j of the family with the (rank-1) eigenstate at
-    Eprime must leave, up to the returned amplitude, the family of the
-    remaining systems with total energy chi - Eprime mod N.
+    See ``EnergyFamily.measure``.
     """
-    N = ds[0].N
-    specs = [hamiltonian(d) for d in ds]
-    p = specs[j].projectors[Eprime % N]
-    rank = specs[j].ranks.get(Eprime % N, 0)
-    if rank != 1:
-        raise DegenerateError(
-            f"system {j} has rank-{rank} projector at energy {Eprime}"
-        )
-    phi = linalg.rank1_eigvec(p)
-
-    psi_j = linalg.as_vector(psis[j])
-    overlap = complex(np.vdot(phi, p @ psi_j))
-    if abs(overlap) <= as_tolerance(tol).eps:
-        raise OrthogonalEigenstateError(
-            f"eigenstate at energy {Eprime} is orthogonal to the state of system {j}"
-        )
-
-    comps = _family_components(ds, psis, chi, specs)
-    dims = tuple(d.dim for d in ds)
-    tensor_form = _family_amplitudes(comps, chi).reshape(dims)
-    contracted = np.tensordot(phi.conj(), tensor_form, axes=([0], [j])).reshape(-1)
-
-    rest = comps[:j] + comps[j + 1 :]
-    if not rest:
-        raise ValueError("family needs at least one system")
-    expected = _family_amplitudes(rest, (chi - Eprime) % N)
-    residual = _proportionality_residual(contracted, expected)
-    return MeasureResult(
-        state=SyncState(
-            factor_dims=tuple(d for i, d in enumerate(dims) if i != j),
-            amplitudes=contracted,
-        ),
-        amplitude=overlap,
-        residual=residual,
-    )
+    return EnergyFamily(ds, psis, chi).measure(j, Eprime)
 
 
 def is_nondegenerate(d: UnitaryDynamic) -> bool:

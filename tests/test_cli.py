@@ -10,8 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import X, phase_matrix, shift_matrix
-from qclock import cli
+from conftest import X, count_spectra, phase_matrix, shift_matrix
+from qclock import cli, sync
 from qclock.linalg import SELF_TEST_FLOOR
 from qclock.selftest import run_self_test
 from qclock.serialize import matrix_to_json, vector_to_json
@@ -344,6 +344,45 @@ def test_dynamic_failing_the_laws_is_a_failed_check(tmp_path):
     report = json.loads(out)
     failed = {c["name"] for c in report["checks"] if not c["pass"]}
     assert {"unit_law", "completeness"} <= failed
+    assert all(rank >= 0 for rank in report["ranks"].values())  # P_1 = (X - I)/2 has trace -1
+
+
+@pytest.mark.parametrize("tol", ["1e-9", "0.5"])
+def test_sync_measure_overlap_is_not_judged_at_tol(tmp_path, tol):
+    # <-|psi> = sin(a) = 0.4 is a nonzero overlap at any --tol
+    a = np.arcsin(0.4)
+    plus, minus = np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)
+    psi = np.cos(a) * plus + np.sin(a) * minus
+    path = _sync_file(tmp_path, [psi, psi], [{"system": 1, "energy": 1}], chi=1)
+    code, _, err = run_main("--tol", tol, "sync", str(path))
+    assert code == 0, err
+
+
+def test_sync_computes_each_spectrum_once(tmp_path, monkeypatch):
+    calls = count_spectra(monkeypatch, sync)
+    path = _sync_file(tmp_path, [np.array([1, 0])] * 3, [{"system": 2, "energy": 1}], chi=1)
+    code, _, err = run_main("sync", str(path))
+    assert code == 0, err
+    assert sorted(calls.values()) == [1, 1, 1]
+
+
+def test_sync_at_ten_systems(tmp_path):
+    # 8^10 energy labels; the convolution over energy builds nothing beyond N x 2^10
+    N, M = 8, 10
+    rng = np.random.default_rng(11)
+    systems, chi = [], 0
+    for _ in range(M):
+        v, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        k = rng.choice(N, size=2, replace=False)  # the measured level has rank 1
+        gen = (v * np.exp(2j * np.pi * k / N)) @ v.conj().T
+        psi = v[:, 0] + v[:, 1]
+        systems.append({"generator": matrix_to_json(gen), "psi": vector_to_json(psi)})
+        chi = (chi + int(k[0])) % N
+    measure = [{"system": M - 1, "energy": int(k[0])}]
+    doc = {"N": N, "chi": chi, "systems": systems, "measure": measure}
+    code, out, err = run_main("sync", _doc_file(tmp_path, doc))
+    assert code == 0, err
+    assert json.loads(out)["M"] == M
 
 
 def test_library_self_test_matches_the_cli_self_test():

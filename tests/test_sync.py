@@ -28,7 +28,6 @@ from qclock.sync import (
     internal_time_check,
     internal_time_observable,
     is_nondegenerate,
-    separable_dynamic,
     subsystem_energy_measure,
     synchronized_family,
     synchronized_pair,
@@ -325,15 +324,6 @@ def test_descent_incompatible_support_rejected():
     dh = dynamic_from_generator(np.diag([W6]), 6)  # odd energy, chi even
     with pytest.raises(AxiomsViolatedError):
         dynamic_descent(dg, dh, 0)
-
-
-def test_separable_dynamic_is_kron_of_factors():
-    rng = np.random.default_rng(47)
-    d1 = sampling.random_dynamic(3, 2, rng)
-    d2 = sampling.random_dynamic(3, 2, rng)
-    comp = separable_dynamic([d1, d2])
-    for t in range(3):
-        assert np.allclose(comp.unitaries[t], np.kron(d1.unitaries[t], d2.unitaries[t]))
 
 
 def test_proportionality_residual_is_never_negative():
