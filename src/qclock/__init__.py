@@ -12,6 +12,7 @@ and dynamic descent.
 from .clock import (
     Character,
     ClockStructures,
+    Table,
     character_matrix,
     character_vector,
     make_clock,
@@ -76,7 +77,6 @@ from .linalg import (
     Tolerance,
     approx_equal,
     dagger,
-    tensor,
 )
 from .observables import (
     GROUP_FLAVOUR,

@@ -108,10 +108,9 @@ def clock_dynamic(cs: ClockStructures) -> UnitaryDynamic:
 def validate_dynamic(
     d: UnitaryDynamic, cs: ClockStructures, tol: Tolerance | float = DEFAULT_TOL
 ) -> Report:
-    """Check the three defining identities of a dynamic against the clock maps.
+    """Check the three defining identities of a dynamic against the clock tables.
 
-    With m[x,s,t] = group_mult[x, s*N + t], each law contracts the stack U
-    with a structure map and never builds a Kronecker factor:
+    Each law gathers the stack U at a table's targets, scaled by its values:
     (1) action: sum_x m[x,s,t] U_x equals U_t U_s, one s at a time,
     (2) unit: sum_x group_unit[x] U_x is the identity,
     (3) unitarity: sum_x antipode[x,t] U_x equals U_t^dag (adjoints are
@@ -121,17 +120,14 @@ def validate_dynamic(
     if d.N != cs.N:
         raise ShapeMismatchError(f"dynamic over Z/{d.N} but clock of size {cs.N}")
     eps = as_tolerance(tol).eps
-    N, U = d.N, d.unitaries
-    m = cs.group_mult.reshape(N, N, N)
+    U, m, u, S = d.unitaries, cs.group_mult, cs.group_unit, cs.antipode
 
     action = 0.0
-    for s in range(N):
-        acted = np.tensordot(m[:, s, :], U, axes=([0], [0]))  # [t] = sum_x m[x,s,t] U_x
+    for s in range(d.N):
+        acted = m.value[s][:, None, None] * U[m.target[s]]  # [t] = sum_x m[x,s,t] U_x
         action = max(action, linalg.max_abs_diff(acted, U @ U[s]))
-    unit = linalg.max_abs_diff(
-        np.tensordot(cs.group_unit[:, 0], U, axes=([0], [0])), identity(d.dim)
-    )
-    inverted = np.tensordot(cs.antipode, U, axes=([0], [0]))  # [t] = sum_x S[x,t] U_x
+    unit = linalg.max_abs_diff(u.value[0] * U[u.target[0]], identity(d.dim))
+    inverted = S.value[:, None, None] * U[S.target]  # [t] = sum_x S[x,t] U_x
     unitarity = linalg.max_abs_diff(np.conj(np.transpose(U, (0, 2, 1))), inverted)
 
     return Report(

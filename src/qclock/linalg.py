@@ -99,13 +99,6 @@ def basis_vector(n: int, i: int) -> np.ndarray:
     return e
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product with the global entry cap enforced."""
-    a, b = as_matrix(a), as_matrix(b)
-    check_entries(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-    return np.kron(a, b)
-
-
 def dagger(a) -> np.ndarray:
     """Conjugate transpose."""
     return as_matrix(a).conj().T

@@ -42,11 +42,6 @@ class Observable:
     flavour: Literal["time-structure", "group-structure"]
 
 
-def _blocks(o: Observable) -> np.ndarray:
-    """Clock-leg blocks A_t, shape (N, dim, dim)."""
-    return np.transpose(o.map.reshape(o.dim, o.N, o.dim), (1, 0, 2))
-
-
 def observable_from_spectrum(
     s: ProjectionSpectrum,
     cs: ClockStructures,
@@ -77,41 +72,44 @@ def _energy_observable(s: ProjectionSpectrum, tol: Tolerance | float) -> Observa
 
 
 def time_observable(cs: ClockStructures) -> Observable:
-    """The clock's tick observable: the copying map itself."""
-    return Observable(N=cs.N, dim=cs.N, map=cs.time_copy.copy(), flavour=TIME_FLAVOUR)
+    """The clock's tick observable: the copying map, built out from its table."""
+    N = cs.N
+    linalg.check_entries(N * N, N)
+    m = np.zeros((N * N, N), dtype=np.complex128)
+    m[cs.time_copy.target, np.arange(N)] = cs.time_copy.value
+    return Observable(N=N, dim=N, map=m, flavour=TIME_FLAVOUR)
 
 
 def observable_checks(
     o: Observable, cs: ClockStructures, tol: Tolerance | float = DEFAULT_TOL
 ) -> Report:
-    """The three defining identities, using the flavour's structure maps."""
+    """The three defining identities, on the flavour's structure tables."""
     if o.N != cs.N:
         raise ShapeMismatchError(f"observable over Z/{o.N} but clock of size {cs.N}")
     eps = as_tolerance(tol).eps
-    blocks = _blocks(o)
+    N = o.N
+    blocks = np.transpose(o.map.reshape(o.dim, N, o.dim), (1, 0, 2))  # clock-leg blocks A_t
 
-    if o.flavour == GROUP_FLAVOUR:
-        comult, counit = cs.group_comult, cs.group_counit
-        # the addition structure's antipode is time inversion
-        bent = blocks[(-np.arange(o.N)) % o.N]
-    else:
-        comult, counit = cs.time_copy, cs.time_delete
-        # tick states are self-conjugate, so the tick antipode is trivial
-        bent = blocks
+    if o.flavour == GROUP_FLAVOUR:  # the adjoints of the addition and unit tables
+        source, pairs, weight = cs.group_mult.terms()
+        weight, at, counit = np.conj(weight), cs.group_unit.target, np.conj(cs.group_unit.value)
+        bent = blocks[(-np.arange(N)) % N]  # the addition's antipode is time inversion
+    else:  # the copy and delete tables; every delete target is 0
+        pairs, source, weight = cs.time_copy.terms()
+        at, counit = np.arange(N), cs.time_delete.value
+        bent = blocks  # tick states are self-conjugate, so the tick antipode is trivial
 
     adj = np.conj(np.transpose(blocks, (0, 2, 1)))
     self_adjoint = float(np.max(np.abs(bent - adj))) if blocks.size else 0.0
 
     # idempotence: A_t A_u against sum_x comult[t*N + u, x] A_x, one t at a time
-    c = comult.reshape(o.N, o.N, o.N)
     idempotent = 0.0
-    for t in range(o.N):
-        copied = np.tensordot(c[t], blocks, axes=([1], [0]))
+    for t in range(N):
+        sel = pairs // N == t
+        copied = np.zeros_like(blocks)
+        np.add.at(copied, pairs[sel] % N, weight[sel, None, None] * blocks[source[sel]])
         idempotent = max(idempotent, linalg.max_abs_diff(blocks[t] @ blocks, copied))
-
-    complete = linalg.max_abs_diff(
-        np.tensordot(counit[0], blocks, axes=([0], [0])), identity(o.dim)
-    )
+    complete = linalg.max_abs_diff(np.tensordot(counit, blocks[at], axes=1), identity(o.dim))
 
     return Report(
         title=f"observable identities ({o.flavour}, N={o.N}, dim={o.dim})",

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .clock import ClockStructures, make_clock
+from .clock import ClockStructures, Table, make_clock, residual
 from .dynamics import (
     ProjectionSpectrum,
     UnitaryDynamic,
@@ -102,34 +102,31 @@ def conundrum_check(
     """Clock-time projectors commute with system-energy projectors on H (x) T.
 
     The time projectors Q_t are the blocks of the tick observable,
-    Q_t[a, b] = time_copy[a*N + t, b].  Each commutator
-    [P_E (x) I, I (x) Q_t] is evaluated in factored form, as the two
-    products P_E (x) Q_t and Q_t (x) P_E laid out on (dim, N, dim, N)
-    tensors; it vanishes for any P_E and Q_t, so the completeness of both
-    families is what the report can fail on.
+    Q_t[a, b] = copy[a*N + t, b], one entry per copy input b.  Each
+    commutator [P_E (x) I, I (x) Q_t] is evaluated in factored form, as
+    P_E (x) Q_t and Q_t (x) P_E on those entries (elsewhere both are 0);
+    it vanishes for any P_E and Q_t, so the completeness of both families
+    is what the report can fail on.
     """
     if d.N != cs.N:
         raise ShapeMismatchError(f"dynamic over Z/{d.N} but clock of size {cs.N}")
     eps = as_tolerance(tol).eps
-    N = d.N
-    linalg.check_entries(d.dim * N, d.dim * N)
+    N, c = d.N, cs.time_copy
     spec = hamiltonian(d)
-    time_projectors = cs.time_copy.reshape(N, N, N).transpose(1, 0, 2)  # [t, a, b]
 
     comm = 0.0
     for p in spec.projectors:
-        for q in time_projectors:
-            energy_first = np.multiply.outer(p, q).transpose(0, 2, 1, 3)  # [h, a, h', b]
-            time_first = np.multiply.outer(q, p).transpose(2, 0, 3, 1)
-            comm = max(comm, linalg.max_abs_diff(energy_first, time_first))
+        energy_first = np.multiply.outer(p, c.value)  # [h, h', b]
+        time_first = np.multiply.outer(c.value, p).transpose(1, 2, 0)
+        comm = max(comm, linalg.max_abs_diff(energy_first, time_first))
 
-    time_complete = linalg.max_abs_diff(time_projectors.sum(axis=0), linalg.identity(N))
+    time_sum = Table(c.target // N, c.value)  # sum_t Q_t: b to the first leg of copy b
     return Report(
         title=f"simultaneous time/energy measurability (N={N}, dim={d.dim})",
         checks=(
             Check("commutators", comm, eps),
             Check("energy_completeness", spec.completeness, eps),
-            Check("time_completeness", time_complete, eps),
+            Check("time_completeness", residual(time_sum, Table.identity(N)), eps),
         ),
     )
 

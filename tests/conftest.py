@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from qclock import sampling
+from qclock import linalg, sampling
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -24,6 +26,39 @@ def swap_map(n: int, m: int) -> np.ndarray:
         for j in range(m):
             s[j * n + i, i * m + j] = 1.0
     return s
+
+
+def tensor(a, b) -> np.ndarray:
+    """Kronecker product with the global entry cap enforced: the oracle's factor."""
+    a, b = linalg.as_matrix(a), linalg.as_matrix(b)
+    linalg.check_entries(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    return np.kron(a, b)
+
+
+def dense(table, rows: int) -> np.ndarray:
+    """A clock table built out as the rows x inputs matrix it stands for."""
+    out = np.zeros((rows, table.target.size), dtype=complex)
+    out[table.target.reshape(-1), np.arange(table.target.size)] = table.value.reshape(-1)
+    return out
+
+
+def dense_maps(cs) -> SimpleNamespace:
+    """The literal-paper structure maps of a clock, adjoints included, as matrices."""
+    N = cs.N
+    copy, delete = dense(cs.time_copy, N * N), dense(cs.time_delete, 1)
+    mult, unit = dense(cs.group_mult, N), dense(cs.group_unit, N)
+    return SimpleNamespace(
+        N=N,
+        time_copy=copy,  # N^2 x N
+        time_delete=delete,  # 1 x N
+        time_match=copy.conj().T,
+        time_unit_sum=delete.conj().T,
+        group_mult=mult,  # N x N^2
+        group_unit=unit,  # N x 1
+        group_comult=mult.conj().T,
+        group_counit=unit.conj().T,
+        antipode=dense(cs.antipode, N),
+    )
 
 
 @pytest.fixture(scope="session")

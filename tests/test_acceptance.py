@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from conftest import X, phase_matrix, shift_matrix
+from conftest import X, dense_maps, phase_matrix, shift_matrix
 from qclock import sampling
 from qclock.clock import (
     Character,
@@ -75,7 +75,7 @@ def test_criterion_01_structure_axioms():
 def test_criterion_02_character_duality():
     worst_gram = worst_pointwise = 0.0
     for N in range(1, 17):
-        cs = make_clock(N)
+        cs = dense_maps(make_clock(N))
         cols = np.column_stack([character_vector(Character(N, E)) for E in range(N)])
         gram = cols.conj().T @ cols
         worst_gram = max(worst_gram, float(np.max(np.abs(gram - N * np.eye(N)))))

@@ -250,15 +250,35 @@ def test_axioms_past_the_kronecker_cap():
     assert {c["max_error"] for c in doc["checks"]} == {0.0}
 
 
-def test_dynamic_past_the_kronecker_cap(tmp_path):
-    N, dim = 32, 16
+def test_axioms_past_the_dense_clock_cap():
+    # a dense clock would need 102^2 x 102 entries, past the default cap
+    proc = run_cli("axioms", "102")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert len(doc["checks"]) == 17
+    assert {c["max_error"] for c in doc["checks"]} == {0.0}
+
+
+def _periodic_generator_file(tmp_path: Path, N: int, dim: int) -> Path:
+    """A generator V diag(omega^k) V^dag with U^N = I, for a random unitary V."""
     rng = np.random.default_rng(5)
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     v, _ = np.linalg.qr(z)
     gen = (v * np.exp(2j * np.pi * rng.integers(0, N, size=dim) / N)) @ v.conj().T
     path = tmp_path / "dyn.json"
     path.write_text(json.dumps({"N": N, "dim": dim, "generator": matrix_to_json(gen)}))
-    proc = run_cli("dynamic", str(path))
+    return path
+
+
+def test_dynamic_past_the_kronecker_cap(tmp_path):
+    proc = run_cli("dynamic", str(_periodic_generator_file(tmp_path, 32, 16)))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_dynamic_past_the_dense_clock_cap(tmp_path):
+    # a dense clock would need 128^2 x 128 entries, past the default cap
+    proc = run_cli("dynamic", str(_periodic_generator_file(tmp_path, 128, 16)))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["pass"] is True
 

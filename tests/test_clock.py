@@ -1,16 +1,19 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from conftest import swap_map
+from conftest import dense_maps, swap_map, tensor
 from qclock.clock import (
     Character,
+    Table,
     character_vector,
     make_clock,
     verify_multiplicative_character,
     verify_strong_complementarity,
 )
 from qclock.errors import ShapeMismatchError
-from qclock.linalg import basis_vector, tensor
+from qclock.linalg import basis_vector
 
 
 def test_make_clock_rejects_bad_sizes():
@@ -21,32 +24,39 @@ def test_make_clock_rejects_bad_sizes():
         make_clock(0)
     linalg.set_max_entries(100)
     try:
+        assert make_clock(10).group_mult.target.shape == (10, 10)
         with pytest.raises(DimensionCapError):
-            make_clock(11)  # needs 11^2 x 11 entries
+            make_clock(11)  # its addition table has 11 x 11 entries
     finally:
         linalg.set_max_entries(linalg.DEFAULT_MAX_ENTRIES)
 
 
+def test_make_clock_builds_at_n_1000_under_the_default_cap():
+    cs = make_clock(1000)
+    assert cs.group_mult.target[999, 3] == 2
+    assert cs.time_copy.target[7] == 7 * 1000 + 7
+
+
 def test_make_clock_trivial_group():
-    cs = make_clock(1)
+    cs = dense_maps(make_clock(1))
     assert np.array_equal(cs.group_mult, np.array([[1.0]]))
     assert np.array_equal(cs.time_copy, np.array([[1.0]]))
     assert np.array_equal(cs.antipode, np.array([[1.0]]))
 
 
 def test_group_mult_adds_mod_two():
-    cs = make_clock(2)
+    cs = dense_maps(make_clock(2))
     one_one = np.kron(basis_vector(2, 1), basis_vector(2, 1))
     assert np.array_equal(cs.group_mult @ one_one, basis_vector(2, 0))
 
 
 def test_antipode_negates_mod_three():
-    cs = make_clock(3)
+    cs = dense_maps(make_clock(3))
     assert np.array_equal(cs.antipode @ basis_vector(3, 1), basis_vector(3, 2))
 
 
 def test_time_copy_and_delete_on_basis():
-    cs = make_clock(4)
+    cs = dense_maps(make_clock(4))
     for t in range(4):
         e = basis_vector(4, t)
         assert np.array_equal(cs.time_copy @ e, np.kron(e, e))
@@ -97,7 +107,7 @@ def test_hopf_law_fails_with_corrupted_antipode():
     from dataclasses import replace
 
     cs = make_clock(3)
-    broken = replace(cs, antipode=np.eye(3, dtype=complex))
+    broken = replace(cs, antipode=Table(np.arange(3), np.ones(3, dtype=complex)))
     report = verify_strong_complementarity(broken)
     assert not report.passed
     assert not report.check("hopf_law").passed
@@ -114,7 +124,7 @@ def test_characters_orthogonal_with_norm_N(N):
 
 @pytest.mark.parametrize("N", [2, 3, 5, 8])
 def test_group_comult_copies_characters(N):
-    cs = make_clock(N)
+    cs = dense_maps(make_clock(N))
     for E in range(N):
         chi = character_vector(Character(N, E))
         copied = cs.group_comult @ chi
@@ -125,7 +135,7 @@ def test_group_comult_copies_characters(N):
 
 @pytest.mark.parametrize("N", [2, 3, 6])
 def test_time_match_is_pointwise_character_multiplication(N):
-    cs = make_clock(N)
+    cs = dense_maps(make_clock(N))
     for E in range(N):
         for F in range(N):
             prod = cs.time_match @ np.kron(
@@ -137,28 +147,36 @@ def test_time_match_is_pointwise_character_multiplication(N):
 
 @pytest.mark.parametrize("N", [2, 3, 7])
 def test_antipode_conjugates_characters(N):
-    cs = make_clock(N)
+    cs = dense_maps(make_clock(N))
     for E in range(N):
         chi = character_vector(Character(N, E))
         assert np.max(np.abs(cs.antipode @ chi - chi.conj())) < 1e-9
 
 
 def test_structure_maps_are_mutual_adjoints():
-    cs = make_clock(5)
+    cs = dense_maps(make_clock(5))
     assert np.array_equal(cs.time_match, cs.time_copy.conj().T)
     assert np.array_equal(cs.time_unit_sum, cs.time_delete.conj().T)
     assert np.array_equal(cs.group_comult, cs.group_mult.conj().T)
     assert np.array_equal(cs.group_counit, cs.group_unit.conj().T)
 
 
+def test_clock_stores_tables_not_adjoints():
+    cs = make_clock(4)
+    assert [f.name for f in fields(cs)] == [
+        "N", "time_copy", "time_delete", "group_mult", "group_unit", "antipode"
+    ]
+    assert all(getattr(cs, f.name).target.size <= 16 for f in fields(cs)[1:])
+
+
 def test_quasi_speciality_scaling():
-    cs = make_clock(6)
+    cs = dense_maps(make_clock(6))
     assert np.array_equal(cs.group_mult @ cs.group_comult, 6 * np.eye(6))
 
 
 def test_bialgebra_as_explicit_tensor_contraction():
     # same law as the report, rebuilt here with explicit Kronecker factors
-    cs = make_clock(3)
+    cs = dense_maps(make_clock(3))
     lhs = cs.time_copy @ cs.group_mult
     mid = tensor(tensor(np.eye(3), swap_map(3, 3)), np.eye(3))
     rhs = tensor(cs.group_mult, cs.group_mult) @ mid @ tensor(cs.time_copy, cs.time_copy)
@@ -167,7 +185,7 @@ def test_bialgebra_as_explicit_tensor_contraction():
 
 def test_bialgebra_daggered_form_between_comultiplications():
     # the clock's two outcome-recording maps satisfy the adjoint law exactly
-    cs = make_clock(4)
+    cs = dense_maps(make_clock(4))
     lhs = cs.group_comult @ cs.time_match
     mid = tensor(tensor(np.eye(4), swap_map(4, 4)), np.eye(4))
     rhs = tensor(cs.time_match, cs.time_match) @ mid @ tensor(cs.group_comult, cs.group_comult)

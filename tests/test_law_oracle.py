@@ -1,22 +1,26 @@
 """The structure, dynamic and observable laws against their Kronecker forms.
 
-The oracle is each law written as the literal matrix identity, with every
-Kronecker factor (identity legs, the swap map) built out in full.  The
-library checks the same laws by tensor contraction, one output slice at a
-time.  At N <= 8 every reported error must agree with the oracle to 1e-12:
-on the exact clock maps and valid dynamics, where the errors vanish, and
-on inputs the laws reject (structure maps with complex noise, unitary
-families that are not representations of Z/N), where they do not.
+The oracle is each law written as the literal matrix identity on the dense
+structure maps built out from the clock's tables (``dense_maps``), with
+every Kronecker factor (identity legs, the swap map) built out in full.
+The library checks the same laws as contractions of the tables themselves.
+At N <= 8 every reported error must agree with the oracle to 1e-12: on the
+exact clock tables and valid dynamics, where the errors vanish, and on
+inputs the laws reject (tables with complex noise on their values, tables
+with wrong targets, unitary families that are not representations of
+Z/N), where they do not.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import swap_map
+from conftest import dense_maps, swap_map
 from qclock import sampling
-from qclock.clock import make_clock, verify_strong_complementarity
+from qclock.clock import Table, make_clock, verify_strong_complementarity
 from qclock.dynamics import UnitaryDynamic, hamiltonian, validate_dynamic
 from qclock.observables import (
     GROUP_FLAVOUR,
@@ -40,11 +44,35 @@ def noisy(a: np.ndarray, rng, scale: float = 0.1) -> np.ndarray:
     return a + scale * (rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape))
 
 
+TABLES = ("time_copy", "time_delete", "group_mult", "group_unit", "antipode")
+
+
+def noisy_table(t: Table, rng) -> Table:
+    return Table(t.target, noisy(t.value, rng))
+
+
 def perturbed_clock(N: int, rng):
-    """Every structure map of the size-N clock, each with its own noise."""
+    """Every table of the size-N clock, each with its own noise on its values."""
     cs = make_clock(N)
-    maps = [f.name for f in dataclasses.fields(cs) if f.name != "N"]
-    return dataclasses.replace(cs, **{f: noisy(getattr(cs, f), rng) for f in maps})
+    return dataclasses.replace(cs, **{f: noisy_table(getattr(cs, f), rng) for f in TABLES})
+
+
+def wrong_clocks(N: int) -> dict[str, object]:
+    """The clock with one table replaced by a wrong one of the same shape."""
+    cs = make_clock(N)
+    t = np.arange(N)
+
+    def swap(name, target):
+        return dataclasses.replace(cs, **{name: Table(target, getattr(cs, name).value)})
+
+    return {
+        "difference_addition": swap("group_mult", (t[:, None] - t) % N),
+        "product_addition": swap("group_mult", (t[:, None] * t) % N),
+        "off_diagonal_copy": swap("time_copy", t * N + (t + 1) % N),
+        "constant_copy": swap("time_copy", np.zeros(N, dtype=int)),
+        "identity_antipode": swap("antipode", t),
+        "wrong_unit": swap("group_unit", np.ones(1, dtype=int)),
+    }
 
 
 def valid_observable(flavour: str, cs, rng, dim: int = 3) -> Observable:
@@ -81,9 +109,11 @@ def oracle_frobenius(prefix: str, mult, unit, N: int) -> dict[str, float]:
 
 
 def oracle_structure_laws(cs) -> dict[str, float]:
-    N, eye = cs.N, np.eye(cs.N)
+    N, eye, cs = cs.N, np.eye(cs.N), dense_maps(cs)
     out = oracle_frobenius("time", cs.time_match, cs.time_unit_sum, N)
+    out["time_speciality"] = err(cs.time_match @ cs.time_copy, eye)
     out |= oracle_frobenius("group", cs.group_mult, cs.group_unit, N)
+    out["group_quasi_speciality_factor_N"] = err(cs.group_mult @ cs.group_comult, N * eye)
     out["hopf_law"] = err(
         cs.group_mult @ np.kron(cs.antipode, eye) @ cs.time_copy,
         cs.group_unit @ cs.time_delete,
@@ -95,10 +125,17 @@ def oracle_structure_laws(cs) -> dict[str, float]:
     out["bialgebra_copy_mult"] = err(
         cs.time_copy @ cs.group_mult, np.kron(cs.group_mult, cs.group_mult) @ swapped
     )
+    delete, unit = cs.time_delete, cs.group_unit
+    out["bialgebra_delete_mult"] = err(delete @ cs.group_mult, np.kron(delete, delete))
+    out["bialgebra_copy_unit"] = err(cs.time_copy @ unit, np.kron(unit, unit))
+    out["bialgebra_delete_unit"] = err(delete @ unit, np.eye(1))
+    out["antipode_involution"] = err(cs.antipode @ cs.antipode, eye)
+    out["antipode_self_adjoint"] = err(cs.antipode, cs.antipode.conj().T)
     return out
 
 
 def oracle_dynamic_laws(d, cs) -> dict[str, float]:
+    cs = dense_maps(cs)
     alpha = np.moveaxis(d.unitaries, 0, 2).reshape(d.dim, d.dim * d.N)  # H (x) T -> H
     eye_h, eye_t = np.eye(d.dim), np.eye(d.N)
     adjoints = np.conj(np.transpose(d.unitaries, (0, 2, 1)))
@@ -113,6 +150,7 @@ def oracle_dynamic_laws(d, cs) -> dict[str, float]:
 
 
 def oracle_observable_laws(o, cs) -> dict[str, float]:
+    cs = dense_maps(cs)
     blocks = np.transpose(o.map.reshape(o.dim, o.N, o.dim), (1, 0, 2))
     if o.flavour == GROUP_FLAVOUR:
         comult, counit = cs.group_comult, cs.group_counit
@@ -130,7 +168,7 @@ def oracle_observable_laws(o, cs) -> dict[str, float]:
 
 
 def oracle_conundrum(d, cs) -> dict[str, float]:
-    N, eye_h, eye_t = d.N, np.eye(d.dim), np.eye(d.N)
+    N, eye_h, eye_t, cs = d.N, np.eye(d.dim), np.eye(d.N), dense_maps(cs)
     spec = hamiltonian(d)
     time_projectors = [cs.time_copy.reshape(N, N, N)[:, t, :] for t in range(N)]
     comm = 0.0
@@ -165,10 +203,21 @@ def test_structure_laws_agree_on_exact_clock(N):
     assert_agrees(verify_strong_complementarity(cs), oracle)
 
 
+# On its diagonal support the copy table sends t to v_t^2 |t,t,t> both ways
+# round coassociativity and to v_t |t,t> both ways round cocommutativity, and
+# both sides of the Frobenius law are sum_t |v_t|^2 |t,t><t,t|: noise on the
+# values cannot break these three, which fail on wrong targets instead.
+VALUE_BLIND = ("time_associativity", "time_commutativity", "time_frobenius")
+
+
 @pytest.mark.parametrize("N", range(2, 9))
 def test_structure_laws_agree_on_perturbed_maps(N):
     cs = perturbed_clock(N, np.random.default_rng(100 + N))
-    assert_agrees(verify_strong_complementarity(cs), oracle_structure_laws(cs), nonzero=True)
+    report, oracle = verify_strong_complementarity(cs), oracle_structure_laws(cs)
+    blind = {name: oracle.pop(name) for name in VALUE_BLIND}
+    assert max(blind.values()) <= AGREE  # roundoff of the dense products
+    assert_agrees(report, blind)
+    assert_agrees(report, oracle, nonzero=True)
 
 
 def test_dynamic_laws_agree_on_valid_dynamics():
@@ -236,3 +285,59 @@ def test_conundrum_agrees_with_kronecker_commutators():
             report = conundrum_check(d, cs)
             assert_agrees(report, oracle_conundrum(d, cs))
             assert report.check("time_completeness").max_error > 1e-3
+
+
+@pytest.mark.parametrize("N", range(3, 9))
+def test_structure_laws_agree_on_wrong_tables(N):
+    # at N = 2, s - t is s + t and the identity is the negation
+    for name, cs in wrong_clocks(N).items():
+        report = verify_strong_complementarity(cs)
+        assert_agrees(report, oracle_structure_laws(cs))
+        assert not report.passed, name
+    report = verify_strong_complementarity(wrong_clocks(N)["off_diagonal_copy"])
+    assert all(report.check(name).max_error > 1e-3 for name in VALUE_BLIND)
+
+
+def test_difference_table_fails_the_dynamic_laws():
+    rng = np.random.default_rng(23)
+    for N in range(3, 9):
+        cs = wrong_clocks(N)["difference_addition"]
+        d = sampling.random_dynamic(N, 2, rng)
+        oracle = oracle_dynamic_laws(d, cs)
+        assert oracle["action_law"] > 1e-3
+        assert_agrees(validate_dynamic(d, cs), oracle)
+
+
+def corrupted_clock(N: int, name: str, kind: str, rng):
+    """The size-N clock with one table's values noised, or one target entry moved."""
+    cs = make_clock(N)
+    table = getattr(cs, name)
+    if kind == "values":
+        return dataclasses.replace(cs, **{name: noisy_table(table, rng)})
+    outputs = {"time_copy": N * N, "time_delete": 1}.get(name, N)
+    target = table.target.copy()
+    i = np.unravel_index(rng.integers(target.size), target.shape)
+    target[i] = (target[i] + 1 + rng.integers(max(outputs - 1, 1))) % outputs  # a new output
+    return dataclasses.replace(cs, **{name: Table(target, table.value)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(1, 8),
+    name=st.sampled_from(TABLES),
+    kind=st.sampled_from(["values", "target"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_law_agrees_on_one_corrupted_table(N, name, kind, seed):
+    rng = np.random.default_rng(seed)
+    cs = corrupted_clock(N, name, kind, rng)
+    assert_agrees(verify_strong_complementarity(cs), oracle_structure_laws(cs))
+    for dim in (1, 2):
+        d = sampling.random_dynamic(N, dim, rng)
+        assert_agrees(validate_dynamic(d, cs), oracle_dynamic_laws(d, cs))
+        assert_agrees(conundrum_check(d, cs), oracle_conundrum(d, cs))
+    for o in (
+        valid_observable(TIME_FLAVOUR, cs, rng),
+        valid_observable(GROUP_FLAVOUR, cs, rng, 2),
+    ):
+        assert_agrees(observable_checks(o, cs), oracle_observable_laws(o, cs))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tensor
 from qclock import linalg
 from qclock.errors import DimensionCapError, ShapeMismatchError
 from qclock.linalg import (
@@ -10,7 +11,6 @@ from qclock.linalg import (
     approx_equal,
     dagger,
     orthonormal_range,
-    tensor,
 )
 
 I2 = np.eye(2, dtype=complex)

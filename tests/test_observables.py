@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import X, Z, count_spectra, phase_matrix, shift_matrix
+from conftest import X, Z, count_spectra, dense_maps, phase_matrix, shift_matrix
 from qclock import observables
 from qclock.clock import Character, character_vector, make_clock
 from qclock.dynamics import (
@@ -51,7 +51,7 @@ def test_energy_observable_of_trivial_spectrum():
 def test_clock_energy_observable_is_group_comult():
     cs = make_clock(3)
     obs = observable_from_spectrum(hamiltonian(clock_dynamic(cs)), cs)
-    assert np.max(np.abs(obs.map - cs.group_comult)) < 1e-12
+    assert np.max(np.abs(obs.map - dense_maps(cs).group_comult)) < 1e-12
 
 
 def test_incomplete_spectrum_rejected():
@@ -222,7 +222,7 @@ def test_uncertainty_check_judges_completeness_at_the_callers_tol():
 
 
 def test_uncertainty_needs_no_clock_structures():
-    # make_clock(128) would need 128^2 x 128 entries, past the default cap
+    # the Weyl pair and the unbiasedness are read off the two families alone
     N = 128
     dU = dynamic_from_generator(shift_matrix(N), N)
     dV = dynamic_from_generator(phase_matrix(N), N)
