@@ -39,10 +39,10 @@ facts = rep.facts
 print(f"  ground dimension {facts['ground_dim']} (system dimension {facts['expected_dim']})")
 print(f"  span residual {facts['max_residual']:.2e}, pass={rep.passed}")
 
-gs = ground_space(composite_dynamic(c6))
+q = ground_space(composite_dynamic(c6))  # orthonormal columns
 psi = rng.normal(size=4) + 1j * rng.normal(size=4)
 psi /= np.linalg.norm(psi)
 hist = history_state(c6, psi)
 hist /= np.linalg.norm(hist)
-residual = np.linalg.norm(hist - gs.basis @ (gs.basis.conj().T @ hist))
+residual = np.linalg.norm(hist - q @ (q.conj().T @ hist))
 print(f"  a random history state sits in the ground space: residual {residual:.2e}")

@@ -53,9 +53,7 @@ from .errors import (
 )
 from .feynman import (
     CyclicCircuit,
-    GroundSpace,
     composite_dynamic,
-    composite_step,
     cycle_product,
     cyclify,
     feynman_check,

@@ -99,11 +99,11 @@ def _parse_sync_file(doc, tol: Tolerance):
         raise InputFormatError("$", "expected a JSON object")
     if "systems" not in doc or not isinstance(doc["systems"], list) or not doc["systems"]:
         raise InputFormatError("systems", "expected a nonempty array")
-    if "N" not in doc or not isinstance(doc["N"], int):
-        raise InputFormatError("N", "missing or not an integer")
-    N = doc["N"]
+    N = doc.get("N")
+    if not serialize.is_int(N) or N < 1:
+        raise InputFormatError("N", f"expected an integer >= 1, got {N!r}")
     chi = doc.get("chi", 0)
-    if not isinstance(chi, int) or not (0 <= chi < N):
+    if not serialize.is_int(chi) or not (0 <= chi < N):
         raise InputFormatError("chi", f"expected an integer in [0, {N})")
     ds, psis = [], []
     for i, entry in enumerate(doc["systems"]):
@@ -126,14 +126,11 @@ def _parse_sync_file(doc, tol: Tolerance):
     if not isinstance(measures, list):
         raise InputFormatError("measure", "expected an array")
     for i, mdoc in enumerate(measures):
-        if (
-            not isinstance(mdoc, dict)
-            or not isinstance(mdoc.get("system"), int)
-            or not isinstance(mdoc.get("energy"), int)
-        ):
-            raise InputFormatError(
-                f"measure[{i}]", "expected {'system': int, 'energy': int}"
-            )
+        if not isinstance(mdoc, dict):
+            raise InputFormatError(f"measure[{i}]", "expected {'system': int, 'energy': int}")
+        for key in ("system", "energy"):
+            if not serialize.is_int(mdoc.get(key)):
+                raise InputFormatError(f"measure[{i}].{key}", "missing or not an integer")
         if len(ds) < 2:
             raise InputFormatError(f"measure[{i}]", "needs at least two systems")
         if not (0 <= mdoc["system"] < len(ds)):
@@ -149,7 +146,13 @@ def _cmd_sync(args, tol: Tolerance) -> Report:
     collapse = family.collapse()
     if np.linalg.norm(collapse.state.amplitudes) <= ZERO_NORM:
         raise InputFormatError("chi", f"the family at total energy {chi} is zero")
-    checks = [Check("clock_energy_collapse_matches_family", collapse.residual, tol.eps)]
+    # a complete family of orthogonal projectors resums to a unitary Z/N
+    # representation, so each system's spectrum checks stand for its dynamic laws
+    checks = [
+        Check(f"system_{i}_spectrum", spectrum_checks(spec, tol).max_error, tol.eps)
+        for i, spec in enumerate(family.specs)
+    ]
+    checks.append(Check("clock_energy_collapse_matches_family", collapse.residual, tol.eps))
     for i, mdoc in enumerate(measures):
         try:
             res = family.measure(mdoc["system"], mdoc["energy"])

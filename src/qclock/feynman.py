@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .dynamics import UnitaryDynamic, dynamic_from_generator, time_average
+from .dynamics import UnitaryDynamic, time_average
 from .errors import NotCyclicError, NotUnitaryError, ShapeMismatchError
 from .linalg import DEFAULT_TOL, Tolerance, as_tolerance, identity
 from .reports import Check, Report
@@ -33,22 +33,10 @@ class CyclicCircuit:
     gates: np.ndarray  # shape (N, dim, dim)
 
 
-@dataclass(frozen=True)
-class GroundSpace:
-    """Orthonormal basis (columns) of the joint fixed-point space."""
-
-    ambient_dim: int
-    basis: np.ndarray  # shape (ambient_dim, k)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-
 def make_circuit(
     gates: Sequence[np.ndarray], tol: Tolerance | float = DEFAULT_TOL
 ) -> CyclicCircuit:
-    """Bundle gates into a circuit, checking shape and unitarity."""
+    """Bundle gates into a circuit, checking shape and, for all gates at once, unitarity."""
     mats = [linalg.as_matrix(g) for g in gates]
     if not mats:
         raise ValueError("a circuit needs at least one gate")
@@ -56,10 +44,13 @@ def make_circuit(
     for i, g in enumerate(mats):
         if g.shape != (dim, dim):
             raise ShapeMismatchError(f"gate {i} has shape {g.shape}, expected {(dim, dim)}")
-        ok, err = linalg.is_unitary(g, tol)
-        if not ok:
-            raise NotUnitaryError(f"gate {i} is not unitary, max error {err:.3e}")
-    return CyclicCircuit(N=len(mats), dim=dim, gates=np.stack(mats))
+    stack = np.stack(mats)
+    gram = stack @ np.conj(np.transpose(stack, (0, 2, 1)))
+    errs = np.abs(gram - identity(dim)).max(axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(errs > as_tolerance(tol).eps)
+    if bad.size:
+        raise NotUnitaryError(f"gate {bad[0]} is not unitary, max error {errs[bad[0]]:.3e}")
+    return CyclicCircuit(N=len(mats), dim=dim, gates=stack)
 
 
 def cycle_product(c: CyclicCircuit) -> np.ndarray:
@@ -84,22 +75,29 @@ def _require_cyclic(c: CyclicCircuit, tol: Tolerance | float) -> None:
         )
 
 
-def composite_step(c: CyclicCircuit) -> np.ndarray:
-    """One-step generator on H (x) T: block (t+1 mod N, t) holds gates[t+1]."""
+def _composite(c: CyclicCircuit) -> UnitaryDynamic:
+    """U_s on H (x) T: block (t+s mod N, t) holds gates[t+s] ... gates[t+1]."""
     N, dim = c.N, c.dim
     linalg.check_entries(dim * N, dim * N)
-    w = np.zeros((dim, N, dim, N), dtype=np.complex128)
-    for t in range(N):
-        w[:, (t + 1) % N, :, t] = c.gates[(t + 1) % N]
-    return w.reshape(dim * N, dim * N)
+    stack = np.zeros((N, dim, N, dim, N), dtype=np.complex128)  # [s, h', t', h, t]
+    t = np.arange(N)
+    carried = np.broadcast_to(identity(dim), (N, dim, dim))  # [t] = gates[t+s] ... gates[t+1]
+    for s in range(N):
+        stack[s, :, (t + s) % N, :, t] = carried
+        carried = c.gates[(t + s + 1) % N] @ carried
+    return UnitaryDynamic(N=N, dim=dim * N, unitaries=stack.reshape(N, dim * N, dim * N))
 
 
 def composite_dynamic(
     c: CyclicCircuit, tol: Tolerance | float = DEFAULT_TOL
 ) -> UnitaryDynamic:
-    """The Z/N dynamic on H (x) T generated by the one-step action."""
+    """The Z/N dynamic on H (x) T: U_s|psi, t> = gates[t+s] ... gates[t+1]|psi> (x) |t+s>.
+
+    Built from the gates at O(N^2 dim^3): ``make_circuit`` checked their
+    unitarity and the cycle is checked here, so nothing is checked twice.
+    """
     _require_cyclic(c, tol)
-    return dynamic_from_generator(composite_step(c), c.N, tol)
+    return _composite(c)
 
 
 def cyclify(
@@ -132,9 +130,9 @@ def _history(c: CyclicCircuit, psi0: np.ndarray) -> np.ndarray:
     return cols.reshape(-1)  # index = h * N + t
 
 
-def ground_space(d: UnitaryDynamic) -> GroundSpace:
-    """Joint fixed points of the family, from the range of the time average."""
-    return GroundSpace(ambient_dim=d.dim, basis=linalg.orthonormal_range(time_average(d)))
+def ground_space(d: UnitaryDynamic) -> np.ndarray:
+    """Orthonormal basis (columns) of the joint fixed points: the time average's range."""
+    return linalg.orthonormal_range(time_average(d))
 
 
 def feynman_check(
@@ -161,8 +159,7 @@ def feynman_check(
             notes=("not cyclic: the composite dynamic and its histories are undefined",),
             facts=facts,
         )
-    gs = ground_space(dynamic_from_generator(composite_step(c), c.N, tol))
-    q = gs.basis
+    q = ground_space(_composite(c))
 
     histories = np.column_stack(
         [_history(c, linalg.basis_vector(c.dim, i)) for i in range(c.dim)]
@@ -179,19 +176,19 @@ def feynman_check(
         cycle,
         Check("histories_in_ground_space", residual, eps),
         Check("ground_space_in_history_span", back, eps),
-        Check("ground_dim_equals_system_dim", float(abs(gs.dim - c.dim)), 0.0),
+        Check("ground_dim_equals_system_dim", float(abs(q.shape[1] - c.dim)), 0.0),
     )
-    facts.update(ground_dim=gs.dim, max_residual=max(residual, back))
+    facts.update(ground_dim=q.shape[1], max_residual=max(residual, back))
     return Report(title, checks, facts=facts)
 
 
 def stationarity_check(
     c: CyclicCircuit, psi0, tol: Tolerance | float = DEFAULT_TOL
 ) -> Report:
-    """History states are fixed by every composite power."""
+    """History states are fixed by every composite power, built once from the gates."""
     eps = as_tolerance(tol).eps
-    h = history_state(c, psi0, tol)  # checks the cycle, so composite_dynamic is not needed
-    comp = dynamic_from_generator(composite_step(c), c.N, tol)
+    h = history_state(c, psi0, tol)  # checks the cycle, so _composite need not
+    comp = _composite(c)
     err = max(
         linalg.max_abs_diff(comp.unitaries[t] @ h, h) for t in range(comp.N)
     )

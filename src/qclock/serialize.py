@@ -71,11 +71,16 @@ def matrix_from_json(obj: Any, field: str) -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
+def is_int(val: Any) -> bool:
+    """A JSON integer: Python reads true and false as ints, so they are excluded."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def _require_int(doc: dict, field: str, minimum: int = 1) -> int:
     if field not in doc:
         raise InputFormatError(field, "missing")
     val = doc[field]
-    if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
+    if not is_int(val) or val < minimum:
         raise InputFormatError(field, f"expected an integer >= {minimum}, got {val!r}")
     return val
 

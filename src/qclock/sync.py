@@ -83,9 +83,6 @@ class InternalClockDescriptor:
     basis: np.ndarray
     permutation_error: float
 
-    def quotient(self, t: int) -> int:
-        return t % self.internal_size
-
 
 def synchronized_pair(d: UnitaryDynamic, psi) -> SyncState:
     """The unnormalised entangled state sum_t (U_t psi) (x) |t>."""

@@ -186,8 +186,8 @@ def test_criterion_07_feynman_clock():
     golden = make_circuit([X, X])
     h = history_state(golden, E0)
     golden_ok = np.allclose(h, [1, 0, 0, 1])
-    gs = ground_space(composite_dynamic(golden))
-    proj = gs.basis @ (gs.basis.conj().T @ (h / np.linalg.norm(h)))
+    q = ground_space(composite_dynamic(golden))
+    proj = q @ (q.conj().T @ (h / np.linalg.norm(h)))
     golden_ok = golden_ok and np.max(np.abs(proj - h / np.linalg.norm(h))) < 1e-9
 
     ok = worst < 1e-8 and dims_ok and golden_ok

@@ -242,6 +242,32 @@ def test_sync_vanishing_family_is_input_error(tmp_path):
     _assert_input_error(run_cli("sync", str(path)), "chi")
 
 
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"N": True}, "'N'"),
+        ({"N": 0}, "'N'"),
+        ({"chi": True}, "'chi'"),
+        ({"measure": [{"system": True, "energy": 1}]}, "'measure[0].system'"),
+        ({"measure": [{"system": 1, "energy": True}]}, "'measure[0].energy'"),
+    ],
+)
+def test_sync_bad_integer_field_is_input_error(tmp_path, change, field):
+    # JSON true is not the integer 1, though Python reads it as one; N = 0 names N, not chi
+    _assert_input_error(run_cli("sync", _doc_file(tmp_path, {**SYNC_DOC, **change})), field)
+
+
+def test_sync_system_that_is_not_a_dynamic_fails(tmp_path):
+    # U_0 = X, U_1 = I: the resummed P_E are not projectors and sum to X, not I
+    stack = {"unitaries": [matrix_to_json(X), matrix_to_json(np.eye(2))]}
+    systems = [{**stack, "psi": vector_to_json(np.array([1, 0]))}] * 2
+    code, out, err = run_main("sync", _doc_file(tmp_path, {"N": 2, "systems": systems}))
+    assert code == 1, err
+    report = json.loads(out)
+    failed = [c["name"] for c in report["checks"] if not c["pass"]]
+    assert failed == ["system_0_spectrum", "system_1_spectrum"]
+
+
 def test_axioms_past_the_kronecker_cap():
     proc = run_cli("axioms", "24")
     assert proc.returncode == 0, proc.stderr
@@ -461,7 +487,7 @@ def _plausible_sync(N: int):
     return st.fixed_dictionaries(
         {
             "N": st.just(N),
-            "chi": st.integers(0, N - 1),
+            "chi": st.integers(0, N - 1) | st.booleans(),
             "systems": st.lists(
                 st.sampled_from(SYSTEMS).map(_json_system)
                 | st.fixed_dictionaries({"unitaries": _stack(N), "psi": free_vector}),
@@ -472,7 +498,10 @@ def _plausible_sync(N: int):
         optional={
             "measure": st.lists(
                 st.fixed_dictionaries(
-                    {"system": st.integers(0, 2), "energy": st.integers(0, N - 1)}
+                    {
+                        "system": st.integers(0, 2) | st.booleans(),
+                        "energy": st.integers(0, N - 1) | st.booleans(),
+                    }
                 ),
                 max_size=2,
             )
@@ -506,7 +535,7 @@ json_any = st.recursive(
 )
 entry = st.tuples(json_leaf, json_leaf).map(list) | json_any
 matrix = generator | st.lists(st.lists(entry, min_size=1, max_size=3), max_size=3) | json_any
-field = small_n | json_any
+field = small_n | st.booleans() | json_any
 wild_fields = {
     "N": field,
     "dim": field,

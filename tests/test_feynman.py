@@ -1,14 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import X
+from conftest import X, tensor
 from qclock import feynman, sampling
-from qclock.dynamics import validate_dynamic
+from qclock.dynamics import dynamic_from_generator, validate_dynamic
 from qclock.clock import make_clock
 from qclock.errors import NotCyclicError, NotUnitaryError
 from qclock.feynman import (
     composite_dynamic,
-    composite_step,
     cycle_product,
     cyclify,
     feynman_check,
@@ -18,6 +21,20 @@ from qclock.feynman import (
     stationarity_check,
 )
 from qclock.linalg import basis_vector
+
+
+def composite_step(c):
+    """The literal one-step generator sum_t gates[t+1] (x) |t+1><t| on H (x) T (the oracle)."""
+    N = c.N
+    return sum(
+        tensor(c.gates[(t + 1) % N], np.outer(basis_vector(N, (t + 1) % N), basis_vector(N, t)))
+        for t in range(N)
+    )
+
+
+def oracle_composite(c):
+    """The composite dynamic as the N powers of the dense generator."""
+    return dynamic_from_generator(composite_step(c), c.N)
 
 
 def test_make_circuit_rejects_non_unitary():
@@ -60,6 +77,22 @@ def test_composite_dynamic_of_xx():
 def test_composite_dynamic_rejects_open_cycle():
     with pytest.raises(NotCyclicError):
         composite_dynamic(make_circuit([X, np.eye(2, dtype=complex)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_composite_matches_dense_oracle(n, dim, seed):
+    c = sampling.random_cyclified_circuit(n, dim, np.random.default_rng(seed))
+    d, oracle = composite_dynamic(c), oracle_composite(c)
+    assert (d.N, d.dim) == (oracle.N, oracle.dim) == (2 * n, 2 * n * dim)
+    assert np.max(np.abs(d.unitaries - oracle.unitaries)) <= 1e-12
+    rep = feynman_check(c)
+    with mock.patch.object(feynman, "_composite", oracle_composite):
+        expected = feynman_check(c)
+    assert [(ch.name, ch.passed) for ch in rep.checks] == [
+        (ch.name, ch.passed) for ch in expected.checks
+    ]
+    assert rep.facts["ground_dim"] == expected.facts["ground_dim"] == dim
 
 
 def test_composite_dynamic_identity_gates_any_length():
@@ -115,29 +148,26 @@ def test_history_state_linear_in_initial_state():
 
 
 def test_ground_space_of_x_dynamic():
-    from qclock.dynamics import dynamic_from_generator
-
-    gs = ground_space(dynamic_from_generator(X, 2))
-    assert gs.dim == 1
+    q = ground_space(dynamic_from_generator(X, 2))
+    assert q.shape == (2, 1)
     plus = np.array([1, 1]) / np.sqrt(2)
-    assert abs(abs(np.vdot(gs.basis[:, 0], plus)) - 1) < 1e-12
+    assert abs(abs(np.vdot(q[:, 0], plus)) - 1) < 1e-12
 
 
 def test_ground_space_of_constant_dynamic_is_everything():
     from qclock.dynamics import constant_dynamic
 
-    gs = ground_space(constant_dynamic(4, 3))
-    assert gs.dim == 3
+    assert ground_space(constant_dynamic(4, 3)).shape == (3, 3)
 
 
 def test_ground_space_of_xx_composite():
-    gs = ground_space(composite_dynamic(make_circuit([X, X])))
-    assert gs.dim == 2
+    q = ground_space(composite_dynamic(make_circuit([X, X])))
+    assert q.shape == (4, 2)
     # basis is orthonormal and fixed by the one-step evolution
-    gram = gs.basis.conj().T @ gs.basis
+    gram = q.conj().T @ q
     assert np.max(np.abs(gram - np.eye(2))) < 1e-9
     w = composite_step(make_circuit([X, X]))
-    assert np.max(np.abs(w @ gs.basis - gs.basis)) < 1e-9
+    assert np.max(np.abs(w @ q - q)) < 1e-9
 
 
 def test_feynman_check_golden_xx():
@@ -146,9 +176,9 @@ def test_feynman_check_golden_xx():
     assert rep.facts["cyclic"] and rep.facts["ground_dim"] == 2 == rep.facts["expected_dim"]
     assert rep.facts["max_residual"] < 1e-9
     # the two basis history states span the ground space
-    gs = ground_space(composite_dynamic(make_circuit([X, X])))
+    q = ground_space(composite_dynamic(make_circuit([X, X])))
     h0 = history_state(make_circuit([X, X]), [1, 0]) / np.sqrt(2)
-    proj = gs.basis @ (gs.basis.conj().T @ h0)
+    proj = q @ (q.conj().T @ h0)
     assert np.max(np.abs(proj - h0)) < 1e-9
 
 
