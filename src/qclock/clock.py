@@ -94,6 +94,16 @@ class ClockStructures:
     group_unit: Table   # 1 -> |0>, one input
     antipode: Table     # |t> -> |-t mod N>
 
+    def adds_mod_n(self) -> bool:
+        """Whether ``group_mult`` is exactly ``make_clock``'s: s + t mod N, every value 1."""
+        m = self.group_mult
+        return np.array_equal(m.target, _addition(self.N)) and bool((m.value == 1).all())
+
+
+def _addition(N: int) -> np.ndarray:
+    t = np.arange(N)
+    return (t[:, None] + t) % N
+
 
 def make_clock(N: int) -> ClockStructures:
     """Build the clock tables on C^N; the entry cap guards the N x N addition table."""
@@ -105,7 +115,7 @@ def make_clock(N: int) -> ClockStructures:
         N=N,
         time_copy=Table(t * N + t, ones),
         time_delete=Table(np.zeros(N, dtype=np.intp), ones.copy()),
-        group_mult=Table((t[:, None] + t) % N, np.ones((N, N), dtype=np.complex128)),
+        group_mult=Table(_addition(N), np.ones((N, N), dtype=np.complex128)),
         group_unit=Table.identity(1),
         antipode=Table(-t % N, ones.copy()),
     )

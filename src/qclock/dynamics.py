@@ -116,16 +116,19 @@ def validate_dynamic(
     (3) unitarity: sum_x antipode[x,t] U_x equals U_t^dag (adjoints are
         inverse translations), which with (1) and (2) makes every U_t
         unitary.
+
+    On the clock's own addition table the action law reports a certified
+    upper bound on the all-pairs residual (``_action_bound``); where that
+    bound exceeds tol, or on any other table, it reports the exact sweep.
     """
     if d.N != cs.N:
         raise ShapeMismatchError(f"dynamic over Z/{d.N} but clock of size {cs.N}")
     eps = as_tolerance(tol).eps
     U, m, u, S = d.unitaries, cs.group_mult, cs.group_unit, cs.antipode
 
-    action = 0.0
-    for s in range(d.N):
-        acted = m.value[s][:, None, None] * U[m.target[s]]  # [t] = sum_x m[x,s,t] U_x
-        action = max(action, linalg.max_abs_diff(acted, U @ U[s]))
+    action = _action_bound(U) if cs.adds_mod_n() else np.inf
+    if not action <= eps:
+        action = _action_sweep(U, m)
     unit = linalg.max_abs_diff(u.value[0] * U[u.target[0]], identity(d.dim))
     inverted = S.value[:, None, None] * U[S.target]  # [t] = sum_x S[x,t] U_x
     unitarity = linalg.max_abs_diff(np.conj(np.transpose(U, (0, 2, 1))), inverted)
@@ -133,11 +136,64 @@ def validate_dynamic(
     return Report(
         title=f"dynamic axioms (N={d.N}, dim={d.dim})",
         checks=(
-            Check("action_law", action, eps),
+            Check("action_law", float(action), eps),
             Check("unit_law", unit, eps),
             Check("unitarity_law", unitarity, eps),
         ),
     )
+
+
+def _action_sweep(U: np.ndarray, m) -> float:
+    """Exact action residual: sum_x m[x,s,t] U_x against U_t U_s over all (s, t)."""
+    action = 0.0
+    for s in range(U.shape[0]):
+        acted = m.value[s][:, None, None] * U[m.target[s]]  # [t] = sum_x m[x,s,t] U_x
+        action = max(action, linalg.max_abs_diff(acted, U @ U[s]))
+    return action
+
+
+# The bounds below are evaluated under ignored overflow: an inf or nan bound
+# fails the comparison with tol, and the law falls back to its sweep.
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _power_bounds(U: np.ndarray) -> tuple[float, float, float]:
+    """How far a stack is from the powers of its generator G = U_1, from one batched product.
+
+    Returns (a, D, wrap) with a >= ||G||, D >= ||U_0 - I|| + sum_{k<N-1} ||U_{k+1} - G U_k||
+    and wrap >= ||U_0 - G U_{N-1}||, in the operator 2-norm of the stored entries
+    (``linalg.norm_bound``; each product adds its ``roundoff`` |G| |U_k|).  Since
+    a >= 1, telescoping gives ||U_t - G^t|| <= a^t D and ||U_t|| <= a^t (1 + D) for t < N.
+    """
+    N, dim = U.shape[0], U.shape[-1]
+    G, eye, c = U[1 % N], identity(dim), linalg.roundoff(dim)
+    norms = linalg.norm_bound(U)
+    # ||G||^2 = ||G^dag G|| <= 1 + ||G^dag G - I||, and sqrt(1 + x) <= 1 + x/2
+    gram = linalg.norm_bound(G.conj().T @ G - eye) + c * norms[1 % N] ** 2
+    moved = G @ U
+    moved[:-1] -= U[1:]  # the steps G U_k - U_{k+1}
+    moved[-1] -= U[0]  # and the wrap
+    defects = linalg.norm_bound(moved) + c * norms[1 % N] * norms  # |G| |U_k| allowance
+    steps, wrap = defects[:-1], defects[-1]
+    a = np.nextafter(1 + gram / 2, np.inf)
+    return a, linalg.norm_bound(U[0] - eye) + steps.sum(), wrap
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _action_bound(U: np.ndarray) -> float:
+    """Upper bound on the action sweep on the addition table, at O(N dim^3).
+
+    For fixed s, g_t = U_{s+t} - U_t U_s obeys g_0 = (I - U_0) U_s and
+    g_{t+1} = (U_{s+t+1} - G U_{s+t}) + G g_t - (U_{t+1} - G U_t) U_s, indices
+    mod N, so ||g_t|| <= a^(N-1) (D + wrap + D ||U_s||) for t < N; the sweep's
+    own product adds roundoff(dim) ||U_t|| ||U_s||.
+    """
+    a, D, wrap = _power_bounds(U)
+    N, dim = U.shape[0], U.shape[-1]
+    reach = a ** (N - 1)
+    size = reach * (1 + D)  # >= ||U_s||
+    bound = reach * (D + wrap + D * size) + linalg.roundoff(dim) * size**2
+    return bound * (1 + linalg.roundoff(N + dim))  # the bound's own sums
 
 
 def spectral_projector(d: UnitaryDynamic, E: int) -> np.ndarray:

@@ -75,17 +75,35 @@ def _require_cyclic(c: CyclicCircuit, tol: Tolerance | float) -> None:
         )
 
 
+def _running_products(c: CyclicCircuit):
+    """For s = 0, ..., N-1: the rows t+s mod N and carried[t] = gates[t+s] ... gates[t+1]."""
+    t = np.arange(c.N)
+    carried = np.broadcast_to(identity(c.dim), (c.N, c.dim, c.dim))
+    for s in range(c.N):
+        yield (t + s) % c.N, carried
+        carried = c.gates[(t + s + 1) % c.N] @ carried
+
+
 def _composite(c: CyclicCircuit) -> UnitaryDynamic:
     """U_s on H (x) T: block (t+s mod N, t) holds gates[t+s] ... gates[t+1]."""
     N, dim = c.N, c.dim
     linalg.check_entries(dim * N, dim * N)
     stack = np.zeros((N, dim, N, dim, N), dtype=np.complex128)  # [s, h', t', h, t]
     t = np.arange(N)
-    carried = np.broadcast_to(identity(dim), (N, dim, dim))  # [t] = gates[t+s] ... gates[t+1]
-    for s in range(N):
-        stack[s, :, (t + s) % N, :, t] = carried
-        carried = c.gates[(t + s + 1) % N] @ carried
+    for s, (rows, carried) in enumerate(_running_products(c)):
+        stack[s, :, rows, :, t] = carried
     return UnitaryDynamic(N=N, dim=dim * N, unitaries=stack.reshape(N, dim * N, dim * N))
+
+
+def _composite_average(c: CyclicCircuit) -> np.ndarray:
+    """(1/N) sum_s U_s, block by block: each block (t', t) is one carried product over N."""
+    N, dim = c.N, c.dim
+    linalg.check_entries(dim * N, dim * N)
+    average = np.zeros((dim, N, dim, N), dtype=np.complex128)  # [h', t', h, t]
+    t = np.arange(N)
+    for rows, carried in _running_products(c):
+        average[:, rows, :, t] = carried / N
+    return average.reshape(dim * N, dim * N)
 
 
 def composite_dynamic(
@@ -159,7 +177,7 @@ def feynman_check(
             notes=("not cyclic: the composite dynamic and its histories are undefined",),
             facts=facts,
         )
-    q = ground_space(_composite(c))
+    q = linalg.orthonormal_range(_composite_average(c))  # the ground space
 
     histories = np.column_stack(
         [_history(c, linalg.basis_vector(c.dim, i)) for i in range(c.dim)]

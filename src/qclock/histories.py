@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dynamics import UnitaryDynamic, hamiltonian
+from .dynamics import UnitaryDynamic, _power_bounds, hamiltonian
 from .errors import ShapeMismatchError
 from .linalg import DEFAULT_TOL, Tolerance, as_tolerance
 
@@ -50,17 +50,50 @@ def history_from_state(d: UnitaryDynamic, psi) -> History:
 def is_em_morphism(
     h: History, d: UnitaryDynamic, tol: Tolerance | float = DEFAULT_TOL
 ) -> tuple[bool, float]:
-    """Check the translation equation psi_{s+t mod N} = U_t psi_s for all s, t."""
+    """Check the translation equation psi_{s+t mod N} = U_t psi_s for all s, t.
+
+    The error is a certified upper bound on the all-pairs residual
+    (``_translation_bound``), or the exact sweep where that bound exceeds tol.
+    """
     if h.N != d.N or h.dim != d.dim:
         raise ShapeMismatchError(
             f"history on (N={h.N}, dim={h.dim}) vs dynamic (N={d.N}, dim={d.dim})"
         )
+    eps = as_tolerance(tol).eps
+    err = float(_translation_bound(h.states, d.unitaries))
+    if not err <= eps:
+        err = _translation_sweep(h.states, d.unitaries)
+    return err <= eps, err
+
+
+def _translation_sweep(states: np.ndarray, U: np.ndarray) -> float:
+    """Exact residual of psi_{s+t} = U_t psi_s over all (s, t)."""
     err = 0.0
-    for t in range(d.N):
-        shifted = np.roll(h.states, -t, axis=0)  # row s -> psi_{s+t}
-        evolved = h.states @ d.unitaries[t].T
+    for t in range(U.shape[0]):
+        shifted = np.roll(states, -t, axis=0)  # row s -> psi_{s+t}
+        evolved = states @ U[t].T
         err = max(err, linalg.max_abs_diff(shifted, evolved))
-    return err <= as_tolerance(tol).eps, err
+    return err
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _translation_bound(states: np.ndarray, U: np.ndarray) -> float:
+    """Upper bound on the translation sweep from one-step residuals, at O(N dim^3).
+
+    psi_{s+t} - G^t psi_s telescopes into t one-step residuals
+    psi_{j+1} - G psi_j (the step from psi_{N-1} to psi_0 included), and
+    (G^t - U_t) psi_s is at most a^t D ||psi_s|| (``_power_bounds``); the
+    sweep's own product adds roundoff(dim) ||U_t|| ||psi_s||.
+    """
+    a, D, _ = _power_bounds(U)
+    N, dim = U.shape[0], U.shape[-1]
+    c, G = linalg.roundoff(dim), U[1 % N]
+    lengths = linalg.norm_bound(states[:, :, None])  # >= ||psi_s||
+    residuals = np.roll(states, -1, axis=0) - states @ G.T  # row s: psi_{s+1} - G psi_s
+    steps = linalg.norm_bound(residuals[:, :, None]) + c * linalg.norm_bound(G) * lengths
+    reach, longest = a ** (N - 1), lengths.max()
+    bound = reach * (steps.sum() + D * longest) + c * reach * (1 + D) * longest
+    return bound * (1 + linalg.roundoff(N + dim))  # the bound's own sums
 
 
 def schrodinger_solve(d: UnitaryDynamic, psi) -> SpectralSolution:

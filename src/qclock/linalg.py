@@ -113,6 +113,27 @@ def max_abs_diff(a, b) -> float:
     return float(np.max(np.abs(a - b)))
 
 
+def roundoff(n: int) -> float:
+    """Entrywise rounding allowance of a complex product with inner dimension n.
+
+    |fl(A B) - A B| <= roundoff(n) |A| |B|: each real and imaginary part of an
+    entry sums 2n rounded real products, in any order (sqrt(2) gamma_2n).
+    """
+    k = n * np.finfo(float).eps  # 2n unit roundoffs
+    return float(np.sqrt(2) * k / (1 - k))
+
+
+def norm_bound(x) -> np.ndarray:
+    """Upper bound on the operator 2-norm of each matrix of a stack: sqrt(||x||_1 ||x||_inf).
+
+    Widened by roundoff(n + 4), n the longer side, for the rounding of these
+    sums and of a subtraction that produced x.
+    """
+    a = np.abs(x)
+    sums = a.sum(axis=-2).max(axis=-1) * a.sum(axis=-1).max(axis=-1)
+    return np.sqrt(sums) * (1 + roundoff(max(x.shape[-2:]) + 4))
+
+
 def approx_equal(a, b, tol: Tolerance | float = DEFAULT_TOL) -> tuple[bool, float]:
     """Entrywise comparison; returns (equal, max per-entry error).
 

@@ -568,3 +568,60 @@ def test_fuzzed_input_files_never_raise(tmp_path_factory, case):
     code, out, err = run_main("--max-dim", "4096", command, path)
     assert code in (0, 1, 2)
     assert (out != "") is (code != 2), err
+
+
+# -- fuzz the sync measure path: documents that reach it, with broken measure fields
+
+MISSING = object()
+
+
+def _measure_field(valid: int, size: int):
+    """The valid index, or a boolean, negative, out-of-range, float or missing value."""
+    broken = [True, False, -1, -size, size, size + 1, float(valid), valid + 0.5, MISSING]
+    return st.just(valid) | st.sampled_from(broken)
+
+
+@st.composite
+def measured_sync(draw):
+    """Two two-level systems diag(w^a, w^b), a != b, with states on both levels, a chi
+    both reach and measure entries on a level of one system, before mutation rank 1
+    and not orthogonal to its state: every such document reaches ``EnergyFamily.measure``."""
+    N = draw(st.integers(2, 6))
+    amplitude = st.sampled_from([1, -1, 0.6, 0.8j, 1 + 1j])
+    levels, systems = [], []
+    for _ in range(2):
+        a, b = draw(st.lists(st.integers(0, N - 1), min_size=2, max_size=2, unique=True))
+        levels.append((a, b))
+        psi = np.array([draw(amplitude), draw(amplitude)])
+        gen = np.diag(np.exp(2j * np.pi * np.array([a, b]) / N))
+        systems.append({"generator": matrix_to_json(gen), "psi": vector_to_json(psi)})
+    chi = (draw(st.sampled_from(levels[0])) + draw(st.sampled_from(levels[1]))) % N
+    measure = []
+    for _ in range(draw(st.integers(1, 2))):
+        j = draw(st.integers(0, 1))
+        energy = draw(st.sampled_from(levels[j]))
+        entry = {"system": draw(_measure_field(j, 2)), "energy": draw(_measure_field(energy, N))}
+        measure.append({k: v for k, v in entry.items() if v is not MISSING})
+    return {"N": N, "chi": chi, "systems": systems, "measure": measure}
+
+
+def _is_index(value, size: int) -> bool:
+    return type(value) is int and 0 <= value < size
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=measured_sync())
+def test_fuzzed_sync_measure_fields_never_raise(tmp_path_factory, doc):
+    path = _doc_file(tmp_path_factory.mktemp("measure"), doc)
+    code, out, err = run_main("sync", path)
+    assert code in (0, 1, 2)
+    assert (out != "") is (code != 2), err
+    if all(
+        _is_index(m.get("system"), 2) and _is_index(m.get("energy"), doc["N"])
+        for m in doc["measure"]
+    ):  # intact fields: the measure path runs and the family conserves energy
+        assert code == 0, err
+        names = [c["name"] for c in json.loads(out)["checks"]]
+        assert sum(name.startswith("energy_conservation_measure_") for name in names) == len(
+            doc["measure"]
+        )

@@ -5,6 +5,7 @@ from conftest import X, Z, phase_matrix, shift_matrix
 from qclock.clock import Character, character_vector, make_clock
 from qclock.dynamics import (
     UnitaryDynamic,
+    _action_sweep,
     clock_dynamic,
     constant_dynamic,
     dynamic_from_generator,
@@ -71,9 +72,13 @@ def test_validate_dynamic_catches_non_unitary_involution():
 
 
 def test_validate_constant_dynamic_exact():
-    report = validate_dynamic(constant_dynamic(5, 3), make_clock(5))
+    d, cs = constant_dynamic(5, 3), make_clock(5)
+    report = validate_dynamic(d, cs)
     assert report.passed
-    assert report.max_error == 0.0
+    # the action law reports a certified bound; the exact all-pairs sweep is 0
+    exact = _action_sweep(d.unitaries, cs.group_mult)
+    assert exact == 0.0
+    assert exact <= report.max_error <= 1e-14
 
 
 def test_spectral_projectors_of_x_dynamic():

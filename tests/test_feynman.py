@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import X, tensor
 from qclock import feynman, sampling
-from qclock.dynamics import dynamic_from_generator, validate_dynamic
+from qclock.dynamics import dynamic_from_generator, time_average, validate_dynamic
 from qclock.clock import make_clock
 from qclock.errors import NotCyclicError, NotUnitaryError
 from qclock.feynman import (
@@ -86,8 +86,11 @@ def test_composite_matches_dense_oracle(n, dim, seed):
     d, oracle = composite_dynamic(c), oracle_composite(c)
     assert (d.N, d.dim) == (oracle.N, oracle.dim) == (2 * n, 2 * n * dim)
     assert np.max(np.abs(d.unitaries - oracle.unitaries)) <= 1e-12
+    # the average placed block by block is the stack's mean to the bit
+    assert np.array_equal(feynman._composite_average(c), time_average(d))
     rep = feynman_check(c)
-    with mock.patch.object(feynman, "_composite", oracle_composite):
+    oracle_average = time_average(oracle)
+    with mock.patch.object(feynman, "_composite_average", lambda _: oracle_average):
         expected = feynman_check(c)
     assert [(ch.name, ch.passed) for ch in rep.checks] == [
         (ch.name, ch.passed) for ch in expected.checks

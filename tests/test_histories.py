@@ -7,6 +7,7 @@ from qclock.dynamics import clock_dynamic, constant_dynamic, dynamic_from_genera
 from qclock.errors import ShapeMismatchError
 from qclock.histories import (
     History,
+    _translation_sweep,
     history_from_state,
     is_em_morphism,
     reconstruct_history,
@@ -37,8 +38,12 @@ def test_history_dim_mismatch():
 
 def test_translation_equation_holds_by_construction():
     d = dynamic_from_generator(X, 2)
-    ok, err = is_em_morphism(history_from_state(d, [1, 0]), d)
-    assert ok and err == 0.0
+    h = history_from_state(d, [1, 0])
+    ok, err = is_em_morphism(h, d)
+    # the reported error is a certified bound; the exact all-pairs sweep is 0
+    exact = _translation_sweep(h.states, d.unitaries)
+    assert exact == 0.0
+    assert ok and exact <= err <= 1e-14
 
 
 def test_translation_equation_detects_frozen_history():

@@ -221,9 +221,13 @@ def test_uncertainty_check_judges_completeness_at_the_callers_tol():
     assert {c.tol for c in report.checks} == {1e-6}
 
 
-def test_uncertainty_needs_no_clock_structures():
-    # the Weyl pair and the unbiasedness are read off the two families alone
+def test_uncertainty_needs_no_clock_structures(monkeypatch):
+    # the Weyl pair and the unbiasedness are read off the two families alone,
+    # and the Weyl relation passes by its bound, without the N^2 dim^3 sweep
     N = 128
     dU = dynamic_from_generator(shift_matrix(N), N)
     dV = dynamic_from_generator(phase_matrix(N), N)
+    sweeps, sweep = [], observables._weyl_sweep
+    monkeypatch.setattr(observables, "_weyl_sweep", lambda *a: sweeps.append(1) or sweep(*a))
     assert uncertainty_check(dU, dV).passed
+    assert sweeps == []
