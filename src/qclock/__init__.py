@@ -70,12 +70,7 @@ from .histories import (
     reconstruct_history,
     schrodinger_solve,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    approx_equal,
-    dagger,
-)
+from .linalg import DEFAULT_TOL, Tolerance
 from .observables import (
     GROUP_FLAVOUR,
     TIME_FLAVOUR,

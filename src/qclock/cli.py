@@ -94,54 +94,8 @@ def _cmd_feynman(args, tol: Tolerance) -> Report:
     return feynman_check(c, tol)
 
 
-def _parse_sync_file(doc, tol: Tolerance):
-    if not isinstance(doc, dict):
-        raise InputFormatError("$", "expected a JSON object")
-    if "systems" not in doc or not isinstance(doc["systems"], list) or not doc["systems"]:
-        raise InputFormatError("systems", "expected a nonempty array")
-    N = doc.get("N")
-    if not serialize.is_int(N) or N < 1:
-        raise InputFormatError("N", f"expected an integer >= 1, got {N!r}")
-    chi = doc.get("chi", 0)
-    if not serialize.is_int(chi) or not (0 <= chi < N):
-        raise InputFormatError("chi", f"expected an integer in [0, {N})")
-    ds, psis = [], []
-    for i, entry in enumerate(doc["systems"]):
-        if not isinstance(entry, dict):
-            raise InputFormatError(f"systems[{i}]", "expected an object")
-        sub = dict(entry)
-        sub["N"] = N
-        psi_doc = sub.pop("psi", None)
-        if psi_doc is None:
-            raise InputFormatError(f"systems[{i}].psi", "missing")
-        d = serialize.dynamic_from_json(sub, tol)
-        psi = serialize.vector_from_json(psi_doc, f"systems[{i}].psi")
-        if psi.shape[0] != d.dim:
-            raise InputFormatError(f"systems[{i}].psi", f"expected dim {d.dim}")
-        if np.linalg.norm(psi) <= ZERO_NORM:
-            raise InputFormatError(f"systems[{i}].psi", "zero norm; not a state")
-        ds.append(d)
-        psis.append(psi)
-    measures = doc.get("measure", [])
-    if not isinstance(measures, list):
-        raise InputFormatError("measure", "expected an array")
-    for i, mdoc in enumerate(measures):
-        if not isinstance(mdoc, dict):
-            raise InputFormatError(f"measure[{i}]", "expected {'system': int, 'energy': int}")
-        for key in ("system", "energy"):
-            if not serialize.is_int(mdoc.get(key)):
-                raise InputFormatError(f"measure[{i}].{key}", "missing or not an integer")
-        if len(ds) < 2:
-            raise InputFormatError(f"measure[{i}]", "needs at least two systems")
-        if not (0 <= mdoc["system"] < len(ds)):
-            raise InputFormatError(f"measure[{i}].system", "index out of range")
-        if not (0 <= mdoc["energy"] < N):
-            raise InputFormatError(f"measure[{i}].energy", f"outside [0, {N})")
-    return ds, psis, chi, measures
-
-
 def _cmd_sync(args, tol: Tolerance) -> Report:
-    ds, psis, chi, measures = _parse_sync_file(_load_json(args.file), tol)
+    ds, psis, chi, measures = serialize.sync_from_json(_load_json(args.file), tol)
     family = EnergyFamily(ds, psis, chi)  # each spectrum and the family, once
     collapse = family.collapse()
     if np.linalg.norm(collapse.state.amplitudes) <= ZERO_NORM:
@@ -236,7 +190,8 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --seed must be a non-negative integer", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    linalg.set_max_entries(args.max_dim)
+    previous_cap = linalg.max_entries()
+    linalg.set_max_entries(args.max_dim)  # for this invocation only
     try:
         # an overflow would put inf or nan into a report, which JSON cannot hold
         with np.errstate(over="raise", invalid="raise"):
@@ -253,6 +208,8 @@ def main(argv: list[str] | None = None) -> int:
     except FloatingPointError as exc:
         print(f"error: input values leave the double range ({exc})", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    finally:
+        linalg.set_max_entries(previous_cap)
 
 
 if __name__ == "__main__":

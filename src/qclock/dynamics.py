@@ -80,8 +80,8 @@ def dynamic_from_generator(
     """Build the dynamic U_t = U^t; U must be unitary with U^N = I."""
     U = linalg.as_matrix(U)
     eps = as_tolerance(tol).eps
-    ok, err = linalg.is_unitary(U, tol)
-    if not ok:
+    err = float(linalg.unitarity_residual(U))
+    if not err <= eps:
         raise NotUnitaryError(f"generator is not unitary, max error {err:.3e}")
     dim = U.shape[0]
     stack = np.empty((N, dim, dim), dtype=np.complex128)

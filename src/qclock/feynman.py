@@ -45,8 +45,7 @@ def make_circuit(
         if g.shape != (dim, dim):
             raise ShapeMismatchError(f"gate {i} has shape {g.shape}, expected {(dim, dim)}")
     stack = np.stack(mats)
-    gram = stack @ np.conj(np.transpose(stack, (0, 2, 1)))
-    errs = np.abs(gram - identity(dim)).max(axis=(1, 2), initial=0.0)
+    errs = linalg.unitarity_residual(stack)
     bad = np.flatnonzero(errs > as_tolerance(tol).eps)
     if bad.size:
         raise NotUnitaryError(f"gate {bad[0]} is not unitary, max error {errs[bad[0]]:.3e}")
@@ -87,7 +86,7 @@ def _running_products(c: CyclicCircuit):
 def _composite(c: CyclicCircuit) -> UnitaryDynamic:
     """U_s on H (x) T: block (t+s mod N, t) holds gates[t+s] ... gates[t+1]."""
     N, dim = c.N, c.dim
-    linalg.check_entries(dim * N, dim * N)
+    linalg.check_entries(N * dim * N, dim * N)
     stack = np.zeros((N, dim, N, dim, N), dtype=np.complex128)  # [s, h', t', h, t]
     t = np.arange(N)
     for s, (rows, carried) in enumerate(_running_products(c)):
@@ -133,9 +132,7 @@ def history_state(
     c: CyclicCircuit, psi0, tol: Tolerance | float = DEFAULT_TOL
 ) -> np.ndarray:
     """Unnormalised sum_t psi_t (x) |t> with psi_t = gates[t] psi_{t-1}."""
-    psi0 = linalg.as_vector(psi0)
-    if psi0.shape[0] != c.dim:
-        raise ShapeMismatchError(f"state of dim {psi0.shape[0]}, circuit on dim {c.dim}")
+    psi0 = linalg.as_state(psi0, c.dim, "circuit")
     _require_cyclic(c, tol)
     return _history(c, psi0)
 
@@ -203,12 +200,16 @@ def feynman_check(
 def stationarity_check(
     c: CyclicCircuit, psi0, tol: Tolerance | float = DEFAULT_TOL
 ) -> Report:
-    """History states are fixed by every composite power, built once from the gates."""
+    """History states are fixed by every composite power U_s.
+
+    Block t+s of U_s h is carried[t] psi_t (``_running_products``), so the
+    largest entry of U_s h - h is read block by block; no composite is built.
+    """
     eps = as_tolerance(tol).eps
-    h = history_state(c, psi0, tol)  # checks the cycle, so _composite need not
-    comp = _composite(c)
+    psi = history_state(c, psi0, tol).reshape(c.dim, c.N).T  # psi[t] = psi_t
     err = max(
-        linalg.max_abs_diff(comp.unitaries[t] @ h, h) for t in range(comp.N)
+        linalg.max_abs_diff(np.einsum("tij,tj->ti", carried, psi), psi[rows])
+        for rows, carried in _running_products(c)
     )
     return Report(
         title=f"history-state stationarity (N={c.N}, dim={c.dim})",

@@ -40,9 +40,7 @@ class SpectralSolution:
 
 def history_from_state(d: UnitaryDynamic, psi) -> History:
     """The trajectory psi_t = U_t |psi>."""
-    psi = linalg.as_vector(psi)
-    if psi.shape[0] != d.dim:
-        raise ShapeMismatchError(f"state of dim {psi.shape[0]}, dynamic on dim {d.dim}")
+    psi = linalg.as_state(psi, d.dim, "dynamic")
     states = np.einsum("tij,j->ti", d.unitaries, psi)
     return History(N=d.N, dim=d.dim, states=states)
 
@@ -98,9 +96,7 @@ def _translation_bound(states: np.ndarray, U: np.ndarray) -> float:
 
 def schrodinger_solve(d: UnitaryDynamic, psi) -> SpectralSolution:
     """Split |psi> into eigenspace components psi_E = P_E |psi>."""
-    psi = linalg.as_vector(psi)
-    if psi.shape[0] != d.dim:
-        raise ShapeMismatchError(f"state of dim {psi.shape[0]}, dynamic on dim {d.dim}")
+    psi = linalg.as_state(psi, d.dim, "dynamic")
     spec = hamiltonian(d)
     components = np.einsum("eij,j->ei", spec.projectors, psi)
     return SpectralSolution(N=d.N, dim=d.dim, components=components)

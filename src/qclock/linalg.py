@@ -89,6 +89,14 @@ def as_vector(a) -> np.ndarray:
     return v
 
 
+def as_state(psi, dim: int, acting: str) -> np.ndarray:
+    """Coerce to a finite state of length dim, for the ``acting`` object (dynamic, circuit, ...)."""
+    v = as_vector(psi)
+    if v.shape[0] != dim:
+        raise ShapeMismatchError(f"state of dim {v.shape[0]}, {acting} on dim {dim}")
+    return v
+
+
 def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.complex128)
 
@@ -97,11 +105,6 @@ def basis_vector(n: int, i: int) -> np.ndarray:
     e = np.zeros(n, dtype=np.complex128)
     e[i] = 1.0
     return e
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
 
 
 def max_abs_diff(a, b) -> float:
@@ -134,20 +137,13 @@ def norm_bound(x) -> np.ndarray:
     return np.sqrt(sums) * (1 + roundoff(max(x.shape[-2:]) + 4))
 
 
-def approx_equal(a, b, tol: Tolerance | float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Entrywise comparison; returns (equal, max per-entry error).
-
-    Shape mismatch raises instead of returning False.
-    """
-    err = max_abs_diff(a, b)
-    return err <= as_tolerance(tol).eps, err
-
-
-def is_unitary(u, tol: Tolerance | float = DEFAULT_TOL) -> tuple[bool, float]:
-    u = as_matrix(u)
-    if u.shape[0] != u.shape[1]:
-        return False, float("inf")
-    return approx_equal(u @ u.conj().T, identity(u.shape[0]), tol)
+def unitarity_residual(stack: np.ndarray) -> np.ndarray:
+    """Largest entry of U U^dag - I for each matrix of a stack; inf for non-square ones."""
+    rows, cols = stack.shape[-2:]
+    if rows != cols:
+        return np.full(stack.shape[:-2], np.inf)
+    gram = stack @ np.conj(np.swapaxes(stack, -1, -2))
+    return np.abs(gram - identity(rows)).max(axis=(-2, -1), initial=0.0)
 
 
 def rank1_eigvec(p: np.ndarray) -> np.ndarray:

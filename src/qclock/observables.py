@@ -132,9 +132,7 @@ def demolition_measurement(
     Tiny negative weights (roundoff) are clamped to zero; anything worse
     raises.
     """
-    psi = linalg.as_vector(psi)
-    if psi.shape[0] != o.dim:
-        raise ShapeMismatchError(f"state of dim {psi.shape[0]}, observable on dim {o.dim}")
+    psi = linalg.as_state(psi, o.dim, "observable")
     eps = as_tolerance(tol).eps
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > eps:

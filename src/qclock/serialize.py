@@ -1,4 +1,4 @@
-"""JSON (de)serialisation of states, matrices, dynamics and circuits.
+"""JSON (de)serialisation of states, matrices, dynamics, circuits and sync documents.
 
 Complex numbers travel as two-element arrays [re, im] and matrices as
 row-major nested arrays.  Doubles round-trip bit-exactly: encoding uses
@@ -17,7 +17,7 @@ from . import linalg
 from .dynamics import UnitaryDynamic, dynamic_from_generator
 from .errors import InputFormatError
 from .feynman import CyclicCircuit, make_circuit
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, ZERO_NORM, Tolerance
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -85,6 +85,21 @@ def _require_int(doc: dict, field: str, minimum: int = 1) -> int:
     return val
 
 
+def _matrix_stack(doc: dict, field: str) -> np.ndarray:
+    """doc[field] as a stack of doc["N"] square matrices of one shape, matching doc["dim"]."""
+    N, mats = _require_int(doc, "N"), doc.get(field)
+    if not isinstance(mats, list) or len(mats) != N:
+        raise InputFormatError(field, f"expected an array of {N} matrices")
+    stack = [matrix_from_json(m, f"{field}[{t}]") for t, m in enumerate(mats)]
+    dim = stack[0].shape[0]
+    for t, m in enumerate(stack):
+        if m.shape != (dim, dim):
+            raise InputFormatError(f"{field}[{t}]", f"expected {dim}x{dim}")
+    if "dim" in doc and _require_int(doc, "dim") != dim:
+        raise InputFormatError("dim", f"inconsistent with {field} shape")
+    return np.stack(stack)
+
+
 def dynamic_to_json(d: UnitaryDynamic, generator: np.ndarray | None = None) -> dict:
     if generator is not None:
         return {"N": d.N, "dim": d.dim, "generator": matrix_to_json(generator)}
@@ -112,18 +127,8 @@ def dynamic_from_json(doc: Any, tol: Tolerance | float = DEFAULT_TOL) -> Unitary
             )
         return dynamic_from_generator(gen, N, tol)
     if "unitaries" in doc:
-        if not isinstance(doc["unitaries"], list) or len(doc["unitaries"]) != N:
-            raise InputFormatError("unitaries", f"expected an array of {N} matrices")
-        mats = [
-            matrix_from_json(u, f"unitaries[{t}]") for t, u in enumerate(doc["unitaries"])
-        ]
-        dim = mats[0].shape[0]
-        for t, u in enumerate(mats):
-            if u.shape != (dim, dim):
-                raise InputFormatError(f"unitaries[{t}]", f"expected {dim}x{dim}")
-        if "dim" in doc and _require_int(doc, "dim") != dim:
-            raise InputFormatError("dim", "inconsistent with unitaries shape")
-        return UnitaryDynamic(N=N, dim=dim, unitaries=np.stack(mats))
+        stack = _matrix_stack(doc, "unitaries")
+        return UnitaryDynamic(N=N, dim=stack.shape[1], unitaries=stack)
     raise InputFormatError("generator", "need either 'generator' or 'unitaries'")
 
 
@@ -138,16 +143,52 @@ def circuit_to_json(c: CyclicCircuit) -> dict:
 def circuit_from_json(doc: Any, tol: Tolerance | float = DEFAULT_TOL) -> CyclicCircuit:
     if not isinstance(doc, dict):
         raise InputFormatError("$", "expected a JSON object")
+    return make_circuit(_matrix_stack(doc, "gates"), tol)
+
+
+def sync_from_json(doc: Any, tol: Tolerance | float = DEFAULT_TOL):
+    """A sync document as (dynamics, states, chi, measure entries), every field checked."""
+    if not isinstance(doc, dict):
+        raise InputFormatError("$", "expected a JSON object")
+    if "systems" not in doc or not isinstance(doc["systems"], list) or not doc["systems"]:
+        raise InputFormatError("systems", "expected a nonempty array")
     N = _require_int(doc, "N")
-    if "gates" not in doc or not isinstance(doc["gates"], list):
-        raise InputFormatError("gates", "missing or not an array")
-    if len(doc["gates"]) != N:
-        raise InputFormatError("gates", f"expected {N} gates, got {len(doc['gates'])}")
-    mats = [matrix_from_json(g, f"gates[{t}]") for t, g in enumerate(doc["gates"])]
-    dim = mats[0].shape[0]
-    if "dim" in doc and _require_int(doc, "dim") != dim:
-        raise InputFormatError("dim", "inconsistent with gate shapes")
-    return make_circuit(mats, tol)
+    chi = doc.get("chi", 0)
+    if not is_int(chi) or not (0 <= chi < N):
+        raise InputFormatError("chi", f"expected an integer in [0, {N})")
+    ds, psis = [], []
+    for i, entry in enumerate(doc["systems"]):
+        if not isinstance(entry, dict):
+            raise InputFormatError(f"systems[{i}]", "expected an object")
+        sub = dict(entry)
+        sub["N"] = N
+        psi_doc = sub.pop("psi", None)
+        if psi_doc is None:
+            raise InputFormatError(f"systems[{i}].psi", "missing")
+        d = dynamic_from_json(sub, tol)
+        psi = vector_from_json(psi_doc, f"systems[{i}].psi")
+        if psi.shape[0] != d.dim:
+            raise InputFormatError(f"systems[{i}].psi", f"expected dim {d.dim}")
+        if np.linalg.norm(psi) <= ZERO_NORM:
+            raise InputFormatError(f"systems[{i}].psi", "zero norm; not a state")
+        ds.append(d)
+        psis.append(psi)
+    measures = doc.get("measure", [])
+    if not isinstance(measures, list):
+        raise InputFormatError("measure", "expected an array")
+    for i, mdoc in enumerate(measures):
+        if not isinstance(mdoc, dict):
+            raise InputFormatError(f"measure[{i}]", "expected {'system': int, 'energy': int}")
+        for key in ("system", "energy"):
+            if not is_int(mdoc.get(key)):
+                raise InputFormatError(f"measure[{i}].{key}", "missing or not an integer")
+        if len(ds) < 2:
+            raise InputFormatError(f"measure[{i}]", "needs at least two systems")
+        if not (0 <= mdoc["system"] < len(ds)):
+            raise InputFormatError(f"measure[{i}].system", "index out of range")
+        if not (0 <= mdoc["energy"] < N):
+            raise InputFormatError(f"measure[{i}].energy", f"outside [0, {N})")
+    return ds, psis, chi, measures
 
 
 def _json_default(obj: Any):

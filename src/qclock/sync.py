@@ -34,6 +34,7 @@ from .errors import (
     OrthogonalEigenstateError,
     ShapeMismatchError,
 )
+from .histories import history_from_state
 from .linalg import DEFAULT_TOL, ZERO_NORM, Tolerance, as_tolerance
 from .reports import Check, Report
 
@@ -86,11 +87,8 @@ class InternalClockDescriptor:
 
 def synchronized_pair(d: UnitaryDynamic, psi) -> SyncState:
     """The unnormalised entangled state sum_t (U_t psi) (x) |t>."""
-    psi = linalg.as_vector(psi)
-    if psi.shape[0] != d.dim:
-        raise ShapeMismatchError(f"state of dim {psi.shape[0]}, dynamic on dim {d.dim}")
-    cols = np.einsum("tij,j->it", d.unitaries, psi)  # (dim, N)
-    return SyncState(factor_dims=(d.dim, d.N), amplitudes=cols.reshape(-1))
+    states = history_from_state(d, psi).states  # (N, dim)
+    return SyncState(factor_dims=(d.dim, d.N), amplitudes=states.T.reshape(-1))
 
 
 def conundrum_check(
@@ -165,10 +163,7 @@ class EnergyFamily:
         if not (0 <= chi < N):
             raise ValueError(f"total energy {chi} outside [0, {N})")
         self.ds, self.chi = tuple(ds), chi
-        self.psis = tuple(linalg.as_vector(psi) for psi in psis)
-        for d, psi in zip(self.ds, self.psis):
-            if psi.shape[0] != d.dim:
-                raise ShapeMismatchError(f"state of dim {psi.shape[0]}, dynamic on dim {d.dim}")
+        self.psis = tuple(linalg.as_state(psi, d.dim, "dynamic") for d, psi in zip(ds, psis))
         dims = tuple(d.dim for d in self.ds)
         linalg.check_entries(N, math.prod(dims))
         self.specs = tuple(hamiltonian(d) for d in self.ds)
@@ -191,7 +186,7 @@ class EnergyFamily:
         N = self.ds[0].N
         joint = np.ones((N, 1), dtype=np.complex128)  # joint[t] = (x)_j U_t psi_j
         for d, psi in zip(self.ds, self.psis):
-            trajectory = np.einsum("tij,j->ti", d.unitaries, psi)
+            trajectory = history_from_state(d, psi).states
             joint = (joint[:, :, None] * trajectory[:, None, :]).reshape(N, -1)
         effect = np.exp(2j * np.pi * (-self.chi % N) * np.arange(N) / N)  # chi_{-chi}(t)
         collapsed = effect @ joint
@@ -249,13 +244,17 @@ def synchronized_family(
 
 
 def _proportionality_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - |<a,b>| / (|a||b|) clamped at 0; 0 if both vanish, 1 if one does."""
+    """|a - b <b,a> / |b|^2| / |a|, the sine of the angle between a and b.
+
+    It reads a's relative deviation from b's span at its size, where 1 - cos
+    would read its square over 2; 0 if both vanish, 1 if one does.
+    """
     na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
     if na <= ZERO_NORM and nb <= ZERO_NORM:
         return 0.0
     if na <= ZERO_NORM or nb <= ZERO_NORM:
         return 1.0
-    return max(0.0, 1.0 - abs(np.vdot(a, b)) / (na * nb))
+    return float(np.linalg.norm(a - b * (np.vdot(b, a) / nb**2))) / na
 
 
 def clock_energy_collapse(

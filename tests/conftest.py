@@ -28,6 +28,11 @@ def swap_map(n: int, m: int) -> np.ndarray:
     return s
 
 
+def dagger(a) -> np.ndarray:
+    """Conjugate transpose."""
+    return linalg.as_matrix(a).conj().T
+
+
 def tensor(a, b) -> np.ndarray:
     """Kronecker product with the global entry cap enforced: the oracle's factor."""
     a, b = linalg.as_matrix(a), linalg.as_matrix(b)

@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import X, count_spectra, phase_matrix, shift_matrix
-from qclock import cli, sync
+from qclock import cli, linalg, sync
+from qclock.clock import make_clock
 from qclock.linalg import SELF_TEST_FLOOR
 from qclock.selftest import run_self_test
 from qclock.serialize import matrix_to_json, vector_to_json
@@ -329,6 +330,15 @@ def run_main(*args: str) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(args))
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [["axioms", "3"], ["axioms", "11"], ["--tol", "2", "axioms", "3"]])
+def test_max_dim_holds_for_one_invocation(argv):
+    # passing, refused by the cap (exit 2) and bad tol: no run leaves its cap behind
+    before = linalg.max_entries()
+    run_main("--max-dim", "10", *argv)
+    assert linalg.max_entries() == before
+    assert make_clock(11).N == 11
 
 
 def _doc_file(directory: Path, doc) -> str:

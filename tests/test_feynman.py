@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import X, tensor
-from qclock import feynman, sampling
+from qclock import feynman, linalg, sampling
 from qclock.dynamics import dynamic_from_generator, time_average, validate_dynamic
 from qclock.clock import make_clock
-from qclock.errors import NotCyclicError, NotUnitaryError
+from qclock.errors import DimensionCapError, NotCyclicError, NotUnitaryError
 from qclock.feynman import (
     composite_dynamic,
     cycle_product,
@@ -212,6 +212,31 @@ def test_stationarity_of_history_states():
     c = sampling.random_cyclified_circuit(3, 4, rng)
     rep = stationarity_check(c, sampling.random_state(4, rng), 1e-8)
     assert rep.passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_stationarity_matches_the_dense_composite(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    c = sampling.random_cyclified_circuit(n, dim, rng)
+    psi = sampling.random_state(dim, rng)
+    h = history_state(c, psi)
+    dense = max(np.max(np.abs(u @ h - h)) for u in composite_dynamic(c).unitaries)
+    reported = stationarity_check(c, psi).check("fixed_by_all_powers").max_error
+    assert abs(reported - dense) <= 1e-12
+
+
+def test_only_the_composite_stack_needs_its_entries():
+    # 4 stages at dim 2: the stack holds 4 x 8 x 8 = 256 entries, each matrix 64
+    c = sampling.random_cyclified_circuit(2, 2, np.random.default_rng(31))
+    linalg.set_max_entries(100)
+    try:
+        with pytest.raises(DimensionCapError):
+            composite_dynamic(c)
+        assert feynman_check(c).passed
+        assert stationarity_check(c, basis_vector(2, 0)).passed
+    finally:
+        linalg.set_max_entries(linalg.DEFAULT_MAX_ENTRIES)
 
 
 def test_history_state_is_ground_component_of_lifted_state():

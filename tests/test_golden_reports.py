@@ -1,0 +1,215 @@
+"""Golden reports: exit code and SHA-256 of the canonical report of fixed invocations.
+
+Each case runs ``cli.main`` in process on a document drawn from a fixed seed
+with plain numpy, and compares the exit code and the SHA-256 of stdout (the
+canonical report; empty for exit 2) with ``golden_reports.json``.  The table
+holds this platform's numpy/BLAS output.  A change that alters a report on
+purpose regenerates only the rows it names:
+
+    PYTHONPATH=src python tests/test_golden_reports.py CASE_ID [CASE_ID ...]
+
+and with no CASE_ID writes every row.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qclock import cli
+from qclock.serialize import matrix_to_json, vector_to_json
+
+TABLE = Path(__file__).with_name("golden_reports.json")
+
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+I2 = np.eye(2, dtype=complex)
+
+
+def _haar(dim: int, rng: np.random.Generator) -> np.ndarray:
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _generator(N: int, levels, rng: np.random.Generator) -> np.ndarray:
+    """V diag(omega^k) V^dag for a Haar-random V: U^N = I up to roundoff."""
+    v = _haar(len(levels), rng)
+    return (v * np.exp(2j * np.pi * np.asarray(levels) / N)) @ v.conj().T
+
+
+def _state(dim: int, rng: np.random.Generator) -> np.ndarray:
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi / np.linalg.norm(psi)
+
+
+def _powers(gen: np.ndarray, N: int) -> list:
+    stack = [np.eye(gen.shape[0], dtype=complex)]
+    for _ in range(N - 1):
+        stack.append(gen @ stack[-1])
+    return [matrix_to_json(u) for u in stack]
+
+
+def _dynamic_cases() -> list:
+    rng = np.random.default_rng(101)
+    cases = []
+    for N, dim in [(2, 1), (3, 2), (5, 3), (8, 4), (12, 5), (16, 3)]:
+        gen = _generator(N, rng.integers(0, N, size=dim), rng)
+        doc = {"N": N, "dim": dim, "generator": matrix_to_json(gen)}
+        cases.append((f"dynamic-gen-{N}x{dim}", [], doc))
+    for N, dim in [(4, 2), (6, 3)]:
+        gen = _generator(N, rng.integers(0, N, size=dim), rng)
+        cases.append((f"dynamic-stack-{N}x{dim}", [], {"N": N, "unitaries": _powers(gen, N)}))
+    gen = _generator(6, [0, 1, 3], rng)
+    cases += [
+        ("dynamic-tight-tol", ["--tol", "1e-18"], {"N": 6, "unitaries": _powers(gen, 6)}),
+        (
+            "dynamic-tight-tol-generator",
+            ["--tol", "1e-18"],
+            {"N": 6, "generator": matrix_to_json(gen)},
+        ),
+        ("dynamic-x-i-stack", [], {"N": 2, "unitaries": [matrix_to_json(X), matrix_to_json(I2)]}),
+        (
+            "dynamic-not-a-dynamic",
+            [],
+            {"N": 2, "unitaries": [matrix_to_json(I2), matrix_to_json(np.diag([1, 1j]))]},
+        ),
+        ("dynamic-not-unitary", [], {"N": 2, "generator": matrix_to_json([[1, 1], [0, 1]])}),
+        ("dynamic-not-periodic", [], {"N": 3, "generator": matrix_to_json(X)}),
+        ("dynamic-not-square", [], {"N": 2, "generator": matrix_to_json([[1, 0]])}),
+        (
+            "dynamic-ragged-stack",
+            [],
+            {"N": 2, "unitaries": [matrix_to_json(I2), matrix_to_json(np.eye(3))]},
+        ),
+        ("dynamic-dim-mismatch", [], {"N": 2, "dim": 3, "generator": matrix_to_json(X)}),
+    ]
+    return cases
+
+
+def _feynman_cases() -> list:
+    rng = np.random.default_rng(202)
+    cases = []
+    for n, dim in [(1, 1), (1, 2), (2, 2), (3, 3), (4, 2)]:
+        gates = [_haar(dim, rng) for _ in range(n)]
+        gates += [g.conj().T for g in reversed(gates)]
+        doc = {"N": 2 * n, "gates": [matrix_to_json(g) for g in gates]}
+        cases.append((f"feynman-cyclified-{n}x{dim}", [], doc))
+    cases += [
+        ("feynman-xx", [], {"N": 2, "dim": 2, "gates": [matrix_to_json(X)] * 2}),
+        ("feynman-open", [], {"N": 2, "gates": [matrix_to_json(X), matrix_to_json(I2)]}),
+        ("feynman-not-unitary", [], {"N": 1, "gates": [matrix_to_json([[1, 1], [0, 1]])]}),
+        ("feynman-shapes", [], {"N": 2, "gates": [matrix_to_json(X), matrix_to_json(np.eye(3))]}),
+        ("feynman-gate-count", [], {"N": 3, "gates": [matrix_to_json(X)] * 2}),
+    ]
+    return cases
+
+
+def _internal_time_cases() -> list:
+    rng = np.random.default_rng(303)
+    w6 = np.exp(2j * np.pi / 6)
+
+    def doc(N, gen):
+        return {"N": N, "generator": matrix_to_json(gen)}
+
+    return [
+        ("internal-time-z6", [], {**doc(6, np.diag([1, w6**2, w6**4])), "dim": 3}),
+        ("internal-time-subgroup-12", [], doc(12, _generator(12, [0, 3, 6, 9], rng))),
+        ("internal-time-subgroup-8", [], doc(8, _generator(8, [4, 0], rng))),
+        ("internal-time-degenerate", [], doc(4, _generator(4, [1, 1, 3], rng))),
+        ("internal-time-not-subgroup", [], doc(4, np.diag([1, 1j]))),
+        ("internal-time-tight-tol", ["--tol", "1e-18"], doc(3, np.roll(np.eye(3), 1, axis=0))),
+    ]
+
+
+def _sync_doc(N: int, M: int, rng: np.random.Generator, dim: int = 2) -> dict:
+    """M systems with distinct levels (rank 1 each), a chi they reach and one measure per system."""
+    systems, chi, picked = [], 0, []
+    for _ in range(M):
+        levels = rng.choice(N, size=dim, replace=False)
+        gen = _generator(N, levels, rng)
+        systems.append({"generator": matrix_to_json(gen), "psi": vector_to_json(_state(dim, rng))})
+        picked.append(int(levels[0]))
+        chi = (chi + int(levels[0])) % N
+    measure = [{"system": j, "energy": E} for j, E in enumerate(picked)]
+    return {"N": N, "chi": chi, "systems": systems, "measure": measure}
+
+
+def _sync_cases() -> list:
+    rng = np.random.default_rng(404)
+    cases = [
+        (f"sync-{N}x{M}", [], _sync_doc(N, M, rng))
+        for N, M in [(2, 2), (4, 2), (4, 3), (6, 3), (5, 2)]
+    ]
+    x_plus = {"generator": matrix_to_json(X), "psi": vector_to_json(np.array([1, 0]))}
+    simple = {"N": 2, "chi": 1, "systems": [x_plus] * 2, "measure": [{"system": 1, "energy": 1}]}
+    stack = {**x_plus, "unitaries": [matrix_to_json(X), matrix_to_json(I2)]}
+    del stack["generator"]
+    plus = {"generator": matrix_to_json(X), "psi": vector_to_json(np.array([1, 1]) / np.sqrt(2))}
+    zero = {"generator": matrix_to_json(X), "psi": vector_to_json(np.zeros(2))}
+    cases += [
+        ("sync-simple", [], simple),
+        ("sync-tight-tol", ["--tol", "1e-18"], simple),
+        ("sync-x-i-stack", [], {"N": 2, "systems": [stack, stack]}),
+        ("sync-zero-state", [], {"N": 2, "systems": [x_plus, zero]}),
+        ("sync-vanishing-family", [], {"N": 2, "chi": 1, "systems": [plus, plus]}),
+        (
+            "sync-measure-one-system",
+            [],
+            {"N": 2, "systems": [x_plus], "measure": [{"system": 0, "energy": 0}]},
+        ),
+        ("sync-psi-dim", [], {"N": 2, "systems": [{**x_plus, "psi": vector_to_json(np.ones(3))}]}),
+    ]
+    return cases
+
+
+CASES = (
+    [(f"axioms-{N}", ["axioms", str(N)], None) for N in range(1, 17)]
+    + [(cid, [*opts, "dynamic"], doc) for cid, opts, doc in _dynamic_cases()]
+    + [(cid, [*opts, "feynman"], doc) for cid, opts, doc in _feynman_cases()]
+    + [(cid, [*opts, "internal-time"], doc) for cid, opts, doc in _internal_time_cases()]
+    + [(cid, [*opts, "sync"], doc) for cid, opts, doc in _sync_cases()]
+    + [(f"self-test-{seed}", ["--seed", str(seed), "--self-test"], None) for seed in (0, 1, 2)]
+)
+
+
+def run_case(argv: list, doc, directory: Path) -> tuple[int, str]:
+    """(exit code, SHA-256 of stdout) of ``cli.main`` on argv and, if given, a file holding doc."""
+    if doc is not None:
+        path = directory / "input.json"
+        path.write_text(json.dumps(doc))
+        argv = [*argv, str(path)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_case_ids_are_unique():
+    ids = [cid for cid, _, _ in CASES]
+    assert len(ids) == len(set(ids))
+
+
+@pytest.mark.parametrize("cid, argv, doc", CASES, ids=[c[0] for c in CASES])
+def test_golden_report(tmp_path, cid, argv, doc):
+    code, digest = run_case(argv, doc, tmp_path)
+    assert {"exit": code, "sha256": digest} == json.loads(TABLE.read_text())[cid]
+
+
+if __name__ == "__main__":
+    names = set(sys.argv[1:])
+    table = json.loads(TABLE.read_text()) if TABLE.exists() else {}
+    unknown = names - {cid for cid, _, _ in CASES}
+    if unknown:
+        sys.exit(f"unknown case ids: {sorted(unknown)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for cid, argv, doc in CASES:
+            if not names or cid in names:
+                code, digest = run_case(argv, doc, Path(tmp))
+                table[cid] = {"exit": code, "sha256": digest}
+    TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

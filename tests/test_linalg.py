@@ -3,15 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tensor
+from conftest import dagger, tensor
 from qclock import linalg
 from qclock.errors import DimensionCapError, ShapeMismatchError
-from qclock.linalg import (
-    Tolerance,
-    approx_equal,
-    dagger,
-    orthonormal_range,
-)
+from qclock.linalg import Tolerance, max_abs_diff, orthonormal_range, unitarity_residual
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -55,19 +50,26 @@ def test_dagger_involution_random():
     assert np.array_equal(dagger(dagger(a)), a)
 
 
-def test_approx_equal_reports_max_error():
-    ok, err = approx_equal(I2, I2, Tolerance(1e-9))
-    assert ok and err == 0.0
+def test_max_abs_diff_reports_max_error():
+    assert max_abs_diff(I2, I2) == 0.0
     bumped = I2.copy()
     bumped[0, 0] += 1e-6
-    ok, err = approx_equal(I2, bumped, Tolerance(1e-9))
-    assert not ok
-    assert err == pytest.approx(1e-6)
+    assert max_abs_diff(I2, bumped) == pytest.approx(1e-6)
 
 
-def test_approx_equal_shape_mismatch_raises():
+def test_max_abs_diff_shape_mismatch_raises():
     with pytest.raises(ShapeMismatchError):
-        approx_equal(I2, np.eye(3))
+        max_abs_diff(I2, np.eye(3))
+
+
+def test_unitarity_residual_per_matrix():
+    sheared = np.array([[1, 1e-6], [0, 1]], dtype=complex)
+    stack = np.stack([I2, X, sheared])
+    assert np.array_equal(unitarity_residual(stack)[:2], [0.0, 0.0])
+    assert unitarity_residual(stack)[2] == pytest.approx(1e-6)
+    assert float(unitarity_residual(sheared)) == pytest.approx(1e-6)
+    # a non-square matrix is never unitary, even with orthonormal rows
+    assert unitarity_residual(np.eye(2, 3, dtype=complex)) == np.inf
 
 
 def test_tolerance_bounds():

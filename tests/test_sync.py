@@ -20,6 +20,7 @@ from qclock.errors import (
     NotASubgroupError,
     OrthogonalEigenstateError,
 )
+from qclock.reports import Check
 from qclock.sync import (
     clock_energy_collapse,
     conundrum_check,
@@ -335,6 +336,22 @@ def test_proportionality_residual_is_never_negative():
         raw_negative += 1.0 - abs(np.vdot(a, b)) / (na * nb) < 0.0
         assert sync._proportionality_residual(a, b) >= 0.0
     assert raw_negative > 0  # the unclamped formula does dip below zero
+
+
+@pytest.mark.parametrize("deviation", [1e-5, 1e-6])
+def test_proportionality_residual_reads_the_relative_deviation(deviation):
+    # a leaves b's span by `deviation` of its length: 1 - cos would read deviation^2 / 2
+    rng = np.random.default_rng(3)
+    b = rng.normal(size=8) + 1j * rng.normal(size=8)
+    u = rng.normal(size=8) + 1j * rng.normal(size=8)
+    u -= b * np.vdot(b, u) / np.vdot(b, b)
+    u /= np.linalg.norm(u)
+    a = (0.3 - 2j) * b / np.linalg.norm(b) + deviation * np.abs(0.3 - 2j) * u
+    a *= 1 / np.sqrt(1 + deviation**2)  # now |a| = |0.3 - 2j|
+    residual = sync._proportionality_residual(a, b)
+    assert residual == pytest.approx(deviation / np.sqrt(1 + deviation**2), rel=1e-6)
+    assert not Check("proportional", residual, 1e-9).passed
+    assert sync._proportionality_residual((0.3 - 2j) * b, b) <= 1e-15
 
 
 def test_each_spectrum_computed_once(monkeypatch):
