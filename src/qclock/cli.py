@@ -200,6 +200,9 @@ def main(argv: list[str] | None = None) -> int:
                 command, report = "self-test", replace(report, facts={"seed": args.seed})
             else:
                 command, report = args.command, _DISPATCH[args.command](args, tol)
+            if not np.isfinite([c.max_error for c in report.checks]).all():
+                # a matrix product overflows inside BLAS without raising
+                raise FloatingPointError("a residual is not finite")
         _emit(_report_doc(command, report), args.out)
         return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
     except QClockError as exc:

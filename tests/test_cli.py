@@ -205,6 +205,13 @@ def test_non_finite_entry_is_input_error(tmp_path, command, text, field):
     _assert_input_error(run_cli(command, str(path)), field)
 
 
+def test_overflowing_product_is_input_error(tmp_path):
+    # finite entries whose matrix products overflow: the action law and idempotence read inf
+    doc = {"N": 1, "unitaries": [[[[0.0, 1.0], [0.0, 1.2711610061536462e308]], [[0, 0], [0, 0]]]]}
+    code, out, err = run_main("dynamic", _doc_file(tmp_path, doc))
+    assert (code, out) == (2, "") and "double range" in err, err
+
+
 @pytest.mark.parametrize("N", ["0", "-3"])
 def test_axioms_nonpositive_size_is_input_error(N):
     _assert_input_error(run_cli("axioms", N), "'N'")
