@@ -12,7 +12,6 @@ import numpy as np
 from qclock import (
     dynamic_from_generator,
     hamiltonian,
-    make_clock,
     spectral_projector,
     stone_reconstruct,
     time_average,
@@ -28,7 +27,7 @@ phases = np.exp(2j * np.pi * np.array([0, 2, 5]) / N)
 generator = (v * phases) @ v.conj().T
 
 d = dynamic_from_generator(generator, N)
-print(validate_dynamic(d, make_clock(N)).summary())
+print(validate_dynamic(d).summary())
 
 spec = hamiltonian(d)
 print(f"\nsupported energy levels: {list(spec.support)}")

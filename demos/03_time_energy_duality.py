@@ -33,7 +33,7 @@ print()
 print(uncertainty_check(dU, dV).summary())
 
 print("\na tick state measured against the shift's energy observable:")
-obs_u = observable_from_spectrum(hamiltonian(dU), cs)
+obs_u = observable_from_spectrum(hamiltonian(dU))
 tick = np.zeros(N, dtype=complex)
 tick[2] = 1.0
 print(f"  weights: {np.round(demolition_measurement(obs_u, tick), 6)}")

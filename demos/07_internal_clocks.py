@@ -15,7 +15,6 @@ from qclock import (
     dynamic_descent,
     dynamic_from_generator,
     internal_time_observable,
-    make_clock,
     validate_dynamic,
 )
 
@@ -43,4 +42,4 @@ partner_gen = (u * np.exp(2j * np.pi * 2 * np.array([1, 2]) / N)) @ u.conj().T
 dh = dynamic_from_generator(partner_gen, N)
 v = dynamic_descent(dg, dh, 0)
 print(f"  descended family is a Z/{v.N} dynamic on dim {v.dim}")
-print(validate_dynamic(v, make_clock(v.N)).summary())
+print(validate_dynamic(v).summary())

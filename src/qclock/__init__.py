@@ -13,10 +13,8 @@ from .clock import (
     Character,
     ClockStructures,
     Table,
-    character_matrix,
     character_vector,
     make_clock,
-    verify_multiplicative_character,
     verify_strong_complementarity,
 )
 from .dynamics import (

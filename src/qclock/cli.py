@@ -71,7 +71,7 @@ def _cmd_axioms(args, tol: Tolerance) -> Report:
 
 def _cmd_dynamic(args, tol: Tolerance) -> Report:
     d = serialize.dynamic_from_json(_load_json(args.file), tol)
-    axioms = validate_dynamic(d, make_clock(d.N), tol)
+    axioms = validate_dynamic(d, tol)
     spec = hamiltonian(d)
     spectrum = spectrum_checks(spec, tol)
     ergodic = max_abs_diff(time_average(d), spectral_projector(d, 0))

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ShapeMismatchError
 from .linalg import DEFAULT_TOL, Tolerance, as_tolerance
 from .reports import Check, Report
 
@@ -94,16 +93,6 @@ class ClockStructures:
     group_unit: Table   # 1 -> |0>, one input
     antipode: Table     # |t> -> |-t mod N>
 
-    def adds_mod_n(self) -> bool:
-        """Whether ``group_mult`` is exactly ``make_clock``'s: s + t mod N, every value 1."""
-        m = self.group_mult
-        return np.array_equal(m.target, _addition(self.N)) and bool((m.value == 1).all())
-
-
-def _addition(N: int) -> np.ndarray:
-    t = np.arange(N)
-    return (t[:, None] + t) % N
-
 
 def make_clock(N: int) -> ClockStructures:
     """Build the clock tables on C^N; the entry cap guards the N x N addition table."""
@@ -115,7 +104,7 @@ def make_clock(N: int) -> ClockStructures:
         N=N,
         time_copy=Table(t * N + t, ones),
         time_delete=Table(np.zeros(N, dtype=np.intp), ones.copy()),
-        group_mult=Table(_addition(N), np.ones((N, N), dtype=np.complex128)),
+        group_mult=Table((t[:, None] + t) % N, np.ones((N, N), dtype=np.complex128)),
         group_unit=Table.identity(1),
         antipode=Table(-t % N, ones.copy()),
     )
@@ -137,30 +126,6 @@ def character_vector(c: Character) -> np.ndarray:
     """Column of values chi_E(t) = exp(2*pi*i*E*t/N); squared norm N."""
     t = np.arange(c.N)
     return np.exp(2j * np.pi * c.E * t / c.N)
-
-
-def character_matrix(N: int) -> np.ndarray:
-    """N x N matrix whose column E is character_vector(Character(N, E))."""
-    t = np.arange(N)
-    return np.exp(2j * np.pi * np.outer(t, t) / N)
-
-
-def verify_multiplicative_character(
-    cs: ClockStructures, v: np.ndarray, tol: Tolerance | float = DEFAULT_TOL
-) -> bool:
-    """Check the two defining equations of a multiplicative character.
-
-    The row functional <v| must turn group addition into multiplication,
-    <v| o add = <v| (x) <v|, and send the unit |0> to 1.
-    """
-    v = linalg.as_vector(v)
-    if v.shape[0] != cs.N:
-        raise ShapeMismatchError(f"vector of dim {v.shape[0]} on a size-{cs.N} clock")
-    eps = as_tolerance(tol).eps
-    row, m, u = v.conj(), cs.group_mult, cs.group_unit
-    err_mult = linalg.max_abs_diff(row[m.target] * m.value, np.multiply.outer(row, row))
-    err_unit = abs(row[u.target[0]] * u.value[0] - 1.0)
-    return max(err_mult, err_unit) <= eps
 
 
 def verify_strong_complementarity(

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .clock import ClockStructures
 from .errors import (
     IncompleteSpectrumError,
     NotPeriodicError,
@@ -98,40 +97,32 @@ def dynamic_from_generator(
     return UnitaryDynamic(N=N, dim=dim, unitaries=stack)
 
 
-def clock_dynamic(cs: ClockStructures) -> UnitaryDynamic:
+def clock_dynamic(N: int) -> UnitaryDynamic:
     """The clock acting on itself: U_t is cyclic shift by t."""
-    N = cs.N
     shift = np.roll(identity(N), 1, axis=0)
     return dynamic_from_generator(shift, N)
 
 
-def validate_dynamic(
-    d: UnitaryDynamic, cs: ClockStructures, tol: Tolerance | float = DEFAULT_TOL
-) -> Report:
-    """Check the three defining identities of a dynamic against the clock tables.
+def validate_dynamic(d: UnitaryDynamic, tol: Tolerance | float = DEFAULT_TOL) -> Report:
+    """Check the three defining identities of a Z/N dynamic by index arithmetic mod N.
 
-    Each law gathers the stack U at a table's targets, scaled by its values:
-    (1) action: sum_x m[x,s,t] U_x equals U_t U_s, one s at a time,
-    (2) unit: sum_x group_unit[x] U_x is the identity,
-    (3) unitarity: sum_x antipode[x,t] U_x equals U_t^dag (adjoints are
-        inverse translations), which with (1) and (2) makes every U_t
-        unitary.
+    (1) action: U_{s+t} equals U_t U_s for all (s, t),
+    (2) unit: U_0 is the identity,
+    (3) unitarity: U_{-t} equals U_t^dag (adjoints are inverse
+        translations), which with (1) and (2) makes every U_t unitary.
 
-    On the clock's own addition table the action law reports a certified
-    upper bound on the all-pairs residual (``_action_bound``); where that
-    bound exceeds tol, or on any other table, it reports the exact sweep.
+    The action law reports a certified upper bound on the all-pairs
+    residual (``_action_bound``); where that bound exceeds tol, it reports
+    the exact sweep.
     """
-    if d.N != cs.N:
-        raise ShapeMismatchError(f"dynamic over Z/{d.N} but clock of size {cs.N}")
     eps = as_tolerance(tol).eps
-    U, m, u, S = d.unitaries, cs.group_mult, cs.group_unit, cs.antipode
+    U, t = d.unitaries, np.arange(d.N)
 
-    action = _action_bound(U) if cs.adds_mod_n() else np.inf
+    action = _action_bound(U)
     if not action <= eps:
-        action = _action_sweep(U, m)
-    unit = linalg.max_abs_diff(u.value[0] * U[u.target[0]], identity(d.dim))
-    inverted = S.value[:, None, None] * U[S.target]  # [t] = sum_x S[x,t] U_x
-    unitarity = linalg.max_abs_diff(np.conj(np.transpose(U, (0, 2, 1))), inverted)
+        action = _action_sweep(U)
+    unit = linalg.max_abs_diff(U[0], identity(d.dim))
+    unitarity = linalg.max_abs_diff(np.conj(np.transpose(U, (0, 2, 1))), U[-t % d.N])
 
     return Report(
         title=f"dynamic axioms (N={d.N}, dim={d.dim})",
@@ -143,12 +134,13 @@ def validate_dynamic(
     )
 
 
-def _action_sweep(U: np.ndarray, m) -> float:
-    """Exact action residual: sum_x m[x,s,t] U_x against U_t U_s over all (s, t)."""
+def _action_sweep(U: np.ndarray) -> float:
+    """Exact action residual: U_{s+t} against U_t U_s over all (s, t)."""
+    N = U.shape[0]
+    t = np.arange(N)
     action = 0.0
-    for s in range(U.shape[0]):
-        acted = m.value[s][:, None, None] * U[m.target[s]]  # [t] = sum_x m[x,s,t] U_x
-        action = max(action, linalg.max_abs_diff(acted, U @ U[s]))
+    for s in range(N):
+        action = max(action, linalg.max_abs_diff(U[(s + t) % N], U @ U[s]))
     return action
 
 
@@ -181,7 +173,7 @@ def _power_bounds(U: np.ndarray) -> tuple[float, float, float]:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _action_bound(U: np.ndarray) -> float:
-    """Upper bound on the action sweep on the addition table, at O(N dim^3).
+    """Upper bound on the action sweep, at O(N dim^3).
 
     For fixed s, g_t = U_{s+t} - U_t U_s obeys g_0 = (I - U_0) U_s and
     g_{t+1} = (U_{s+t+1} - G U_{s+t}) + G g_t - (U_{t+1} - G U_t) U_s, indices
@@ -210,7 +202,7 @@ def hamiltonian(d: UnitaryDynamic) -> ProjectionSpectrum:
     A label is supported when its projector has an entry above
     ``SUPPORT_THRESHOLD``.
     """
-    stack = np.fft.fft(d.unitaries, axis=0) / d.N
+    stack = fourier_transform(d.unitaries)
     peaks = np.abs(stack).max(axis=(1, 2))
     support = tuple(int(E) for E in np.flatnonzero(peaks > SUPPORT_THRESHOLD))
     return ProjectionSpectrum(N=d.N, dim=d.dim, projectors=stack, support=support)
@@ -250,7 +242,7 @@ def spectrum_checks(
 
 def stone_resum(s: ProjectionSpectrum) -> np.ndarray:
     """The stack U_t = sum_E chi_E(t) P_E (an inverse FFT), for any family."""
-    return np.fft.ifft(s.projectors, axis=0) * s.N
+    return inverse_fourier_transform(s.projectors)
 
 
 def stone_reconstruct(
@@ -269,19 +261,13 @@ def time_average(d: UnitaryDynamic) -> np.ndarray:
     return d.unitaries.mean(axis=0)
 
 
-def fourier_transform(cs: ClockStructures, v) -> np.ndarray:
-    """Energy-side coefficients: out[E] = (1/N) sum_t conj(chi_E(t)) v[t]."""
-    v = linalg.as_vector(v)
-    if v.shape[0] != cs.N:
-        raise ShapeMismatchError(f"vector of dim {v.shape[0]} on a size-{cs.N} clock")
-    return np.fft.fft(v) / cs.N
+def fourier_transform(x) -> np.ndarray:
+    """Energy side over Z/N, N = len(x), along axis 0: out[E] = (1/N) sum_t conj(chi_E(t)) x[t]."""
+    x = np.asarray(x, dtype=np.complex128)
+    return np.fft.fft(x, axis=0) / x.shape[0]
 
 
-def inverse_fourier_transform(cs: ClockStructures, vhat) -> np.ndarray:
-    """Time-side values: out[t] = sum_E chi_E(t) vhat[E]."""
-    vhat = linalg.as_vector(vhat)
-    if vhat.shape[0] != cs.N:
-        raise ShapeMismatchError(
-            f"vector of dim {vhat.shape[0]} on a size-{cs.N} clock"
-        )
-    return np.fft.ifft(vhat) * cs.N
+def inverse_fourier_transform(xhat) -> np.ndarray:
+    """Time side over Z/N, N = len(xhat), along axis 0: out[t] = sum_E chi_E(t) xhat[E]."""
+    xhat = np.asarray(xhat, dtype=np.complex128)
+    return np.fft.ifft(xhat, axis=0) * xhat.shape[0]

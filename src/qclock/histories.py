@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dynamics import UnitaryDynamic, _power_bounds, hamiltonian
+from .dynamics import (
+    ProjectionSpectrum,
+    UnitaryDynamic,
+    _power_bounds,
+    hamiltonian,
+    inverse_fourier_transform,
+)
 from .errors import ShapeMismatchError
 from .linalg import DEFAULT_TOL, Tolerance, as_tolerance
 
@@ -97,12 +103,16 @@ def _translation_bound(states: np.ndarray, U: np.ndarray) -> float:
 def schrodinger_solve(d: UnitaryDynamic, psi) -> SpectralSolution:
     """Split |psi> into eigenspace components psi_E = P_E |psi>."""
     psi = linalg.as_state(psi, d.dim, "dynamic")
-    spec = hamiltonian(d)
-    components = np.einsum("eij,j->ei", spec.projectors, psi)
+    components = _components(hamiltonian(d), psi)
     return SpectralSolution(N=d.N, dim=d.dim, components=components)
+
+
+def _components(spec: ProjectionSpectrum, psi: np.ndarray) -> np.ndarray:
+    """The eigenspace components P_E psi of a state, rows of an (N, dim) array."""
+    return np.einsum("eij,j->ei", spec.projectors, psi)
 
 
 def reconstruct_history(s: SpectralSolution) -> History:
     """Resum components into the trajectory psi_t = sum_E chi_E(t) psi_E."""
-    states = np.fft.ifft(s.components, axis=0) * s.N
+    states = inverse_fourier_transform(s.components)
     return History(N=s.N, dim=s.dim, states=states)

@@ -43,9 +43,7 @@ class Observable:
 
 
 def observable_from_spectrum(
-    s: ProjectionSpectrum,
-    cs: ClockStructures,
-    tol: Tolerance | float = DEFAULT_TOL,
+    s: ProjectionSpectrum, tol: Tolerance | float = DEFAULT_TOL
 ) -> Observable:
     """Energy observable of a projector family.
 
@@ -55,12 +53,6 @@ def observable_from_spectrum(
     the adjoint of the dynamic.  For the clock's own spectrum this is
     exactly the addition comultiplication.
     """
-    if s.N != cs.N:
-        raise ShapeMismatchError(f"spectrum over Z/{s.N} but clock of size {cs.N}")
-    return _energy_observable(s, tol)
-
-
-def _energy_observable(s: ProjectionSpectrum, tol: Tolerance | float) -> Observable:
     if s.completeness > as_tolerance(tol).eps:
         raise IncompleteSpectrumError(
             f"projectors sum to identity only within {s.completeness:.3e}"
@@ -252,7 +244,7 @@ def uncertainty_check(
     rng = rng or np.random.default_rng(0)
     N = dU.N
     spec_u, spec_v = hamiltonian(dU), hamiltonian(dV)
-    obs = _energy_observable(spec_u, tol)
+    obs = observable_from_spectrum(spec_u, tol)
 
     weyl = _weyl(dU, dV, spec_u.support, spec_v.support, tol)
     checks = [Check("weyl_precondition", weyl.max_error, eps)]

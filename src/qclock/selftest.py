@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import sampling
-from .clock import make_clock
 from .dynamics import (
     hamiltonian,
     spectral_projector,
@@ -32,7 +31,7 @@ def _stone_suite(rng: np.random.Generator, eps: float) -> list[Check]:
         N = int(rng.integers(2, 13))
         dim = int(rng.integers(1, 6))
         d = sampling.random_dynamic(N, dim, rng)
-        err_axioms = max(err_axioms, validate_dynamic(d, make_clock(N)).max_error)
+        err_axioms = max(err_axioms, validate_dynamic(d).max_error)
         err_round = max(err_round, max_abs_diff(stone_resum(hamiltonian(d)), d.unitaries))
         err_ergodic = max(
             err_ergodic, max_abs_diff(time_average(d), spectral_projector(d, 0))

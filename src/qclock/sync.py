@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .clock import ClockStructures, Table, make_clock, residual
+from .clock import ClockStructures, Table, residual
 from .dynamics import (
     ProjectionSpectrum,
     UnitaryDynamic,
@@ -34,7 +34,7 @@ from .errors import (
     OrthogonalEigenstateError,
     ShapeMismatchError,
 )
-from .histories import history_from_state
+from .histories import _components, history_from_state
 from .linalg import DEFAULT_TOL, ZERO_NORM, Tolerance, as_tolerance
 from .reports import Check, Report
 
@@ -168,10 +168,7 @@ class EnergyFamily:
         linalg.check_entries(N, math.prod(dims))
         self.specs = tuple(hamiltonian(d) for d in self.ds)
         # comps[j][E] = P_E psi_j, of shape (N, dim_j)
-        self.comps = tuple(
-            np.einsum("eij,j->ei", spec.projectors, psi)
-            for spec, psi in zip(self.specs, self.psis)
-        )
+        self.comps = tuple(_components(spec, psi) for spec, psi in zip(self.specs, self.psis))
         amplitudes = _energy_convolution(self.comps, self.specs)[chi]
         self.state = SyncState(factor_dims=dims, amplitudes=amplitudes)
 
@@ -413,7 +410,7 @@ def dynamic_descent(
             stack[tau] += m * coeff[tau, k] * spec_h.projectors[(chi - k * g) % N]
 
     candidate = UnitaryDynamic(N=m, dim=dim, unitaries=stack)
-    report = validate_dynamic(candidate, make_clock(m), tol)
+    report = validate_dynamic(candidate, tol)
     if not report.passed:
         raise AxiomsViolatedError(report.max_error)
     return candidate

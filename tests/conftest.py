@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qclock import linalg, sampling
+from qclock.errors import ShapeMismatchError
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -64,6 +65,27 @@ def dense_maps(cs) -> SimpleNamespace:
         group_counit=unit.conj().T,
         antipode=dense(cs.antipode, N),
     )
+
+
+def character_matrix(N: int) -> np.ndarray:
+    """N x N matrix whose column E is the character chi_E(t) = exp(2 pi i E t / N)."""
+    t = np.arange(N)
+    return np.exp(2j * np.pi * np.outer(t, t) / N)
+
+
+def verify_multiplicative_character(cs, v, eps: float = 1e-9) -> bool:
+    """The two defining equations of a multiplicative character, on the clock tables.
+
+    The row functional <v| must turn group addition into multiplication,
+    <v| o add = <v| (x) <v|, and send the unit |0> to 1.
+    """
+    v = linalg.as_vector(v)
+    if v.shape[0] != cs.N:
+        raise ShapeMismatchError(f"vector of dim {v.shape[0]} on a size-{cs.N} clock")
+    row, m, u = v.conj(), cs.group_mult, cs.group_unit
+    err_mult = linalg.max_abs_diff(row[m.target] * m.value, np.multiply.outer(row, row))
+    err_unit = abs(row[u.target[0]] * u.value[0] - 1.0)
+    return max(err_mult, err_unit) <= eps
 
 
 @pytest.fixture(scope="session")

@@ -115,13 +115,12 @@ def test_criterion_04_ergodic_theorem(random_family):
 def test_criterion_05_weyl_and_uncertainty():
     worst_weyl = worst_uniform = 0.0
     for N in range(2, 9):
-        cs = make_clock(N)
         dU = dynamic_from_generator(shift_matrix(N), N)
         dV = dynamic_from_generator(phase_matrix(N), N)
         worst_weyl = max(worst_weyl, weyl_ccr_check(dU, dV).max_error)
 
         # character eigenstates of the shift, measured in the tick basis
-        obs_v = observable_from_spectrum(hamiltonian(dV), cs)
+        obs_v = observable_from_spectrum(hamiltonian(dV))
         spec_u = hamiltonian(dU)
         for E in spec_u.support:
             p = spec_u.projectors[E]
@@ -288,8 +287,7 @@ def test_criterion_09_internal_time_observable():
 
 def test_criterion_10_dynamic_descent():
     rng = np.random.default_rng(999)
-    cs = make_clock(4)
-    dg_triv = clock_dynamic(cs)
+    dg_triv = clock_dynamic(4)
     worst_trivial = 0.0
     for _ in range(5):
         dh = sampling.random_dynamic(4, int(rng.integers(1, 4)), rng)
@@ -309,7 +307,7 @@ def test_criterion_10_dynamic_descent():
         chi = int(rng.choice([0, 2, 4]))
         out = dynamic_descent(dg, dh, chi)
         worst_axioms = max(
-            worst_axioms, validate_dynamic(out, make_clock(3)).max_error
+            worst_axioms, validate_dynamic(out).max_error
         )
 
     ok = worst_trivial < 1e-10 and worst_axioms < 1e-8

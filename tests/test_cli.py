@@ -310,9 +310,12 @@ def test_dynamic_past_the_kronecker_cap(tmp_path):
     assert json.loads(proc.stdout)["pass"] is True
 
 
-def test_dynamic_past_the_dense_clock_cap(tmp_path):
-    # a dense clock would need 128^2 x 128 entries, past the default cap
-    proc = run_cli("dynamic", str(_periodic_generator_file(tmp_path, 128, 16)))
+@pytest.mark.parametrize("N, dim", [(128, 16), (1025, 2), (65536, 2)])
+def test_dynamic_past_the_dense_clock_cap(tmp_path, N, dim):
+    # the laws read the stack alone: no N x N addition table, which past
+    # N = 1024 exceeds the default cap, and at N = 65536 the O(N^2 dim^3)
+    # action sweep would not finish here, so the certified bound decides
+    proc = run_cli("dynamic", str(_periodic_generator_file(tmp_path, N, dim)))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["pass"] is True
 

@@ -3,13 +3,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import dense_maps, swap_map, tensor
+from conftest import dense_maps, swap_map, tensor, verify_multiplicative_character
 from qclock.clock import (
     Character,
     Table,
     character_vector,
     make_clock,
-    verify_multiplicative_character,
     verify_strong_complementarity,
 )
 from qclock.errors import ShapeMismatchError

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import X, Z, phase_matrix, shift_matrix
-from qclock.clock import Character, character_vector, make_clock
+from qclock.clock import Character, character_vector
 from qclock.dynamics import (
     UnitaryDynamic,
     _action_sweep,
@@ -50,13 +50,13 @@ def test_generator_must_be_unitary():
 
 
 def test_validate_dynamic_passes_for_representation():
-    report = validate_dynamic(dynamic_from_generator(X, 2), make_clock(2))
+    report = validate_dynamic(dynamic_from_generator(X, 2))
     assert report.passed
 
 
 def test_validate_dynamic_unit_law_violation():
     swapped = UnitaryDynamic(N=2, dim=2, unitaries=np.stack([X, np.eye(2, dtype=complex)]))
-    report = validate_dynamic(swapped, make_clock(2))
+    report = validate_dynamic(swapped)
     assert not report.check("unit_law").passed
 
 
@@ -65,18 +65,18 @@ def test_validate_dynamic_catches_non_unitary_involution():
     s = np.array([[1, 1], [0, 1]], dtype=complex)
     u = s @ np.diag([1, -1]) @ np.linalg.inv(s)
     d = UnitaryDynamic(N=2, dim=2, unitaries=np.stack([np.eye(2, dtype=complex), u]))
-    report = validate_dynamic(d, make_clock(2))
+    report = validate_dynamic(d)
     assert report.check("action_law").passed
     assert report.check("unit_law").passed
     assert not report.check("unitarity_law").passed
 
 
 def test_validate_constant_dynamic_exact():
-    d, cs = constant_dynamic(5, 3), make_clock(5)
-    report = validate_dynamic(d, cs)
+    d = constant_dynamic(5, 3)
+    report = validate_dynamic(d)
     assert report.passed
     # the action law reports a certified bound; the exact all-pairs sweep is 0
-    exact = _action_sweep(d.unitaries, cs.group_mult)
+    exact = _action_sweep(d.unitaries)
     assert exact == 0.0
     assert exact <= report.max_error <= 1e-14
 
@@ -165,30 +165,26 @@ def test_time_average_is_ground_projector(random_family):
 
 
 def test_fourier_examples():
-    cs2 = make_clock(2)
-    assert np.allclose(fourier_transform(cs2, [1, 1]), [1, 0])
-    cs4 = make_clock(4)
+    assert np.allclose(fourier_transform([1, 1]), [1, 0])
     chi1 = character_vector(Character(4, 1))
-    assert np.allclose(fourier_transform(cs4, chi1), [0, 1, 0, 0], atol=1e-12)
-    uniform = fourier_transform(cs4, [1, 0, 0, 0])
+    assert np.allclose(fourier_transform(chi1), [0, 1, 0, 0], atol=1e-12)
+    uniform = fourier_transform([1, 0, 0, 0])
     assert np.allclose(uniform, np.full(4, 0.25))
 
 
 def test_fourier_inverse_and_scaling():
-    cs = make_clock(6)
     rng = np.random.default_rng(3)
     f = rng.normal(size=6) + 1j * rng.normal(size=6)
     g = rng.normal(size=6) + 1j * rng.normal(size=6)
-    assert np.allclose(inverse_fourier_transform(cs, fourier_transform(cs, f)), f)
+    assert np.allclose(inverse_fourier_transform(fourier_transform(f)), f)
     # with the 1/N forward convention the pairing scales by 1/N
-    lhs = np.vdot(fourier_transform(cs, f), fourier_transform(cs, g))
+    lhs = np.vdot(fourier_transform(f), fourier_transform(g))
     assert lhs == pytest.approx(np.vdot(f, g) / 6)
 
 
 def test_clock_dynamic_spectrum_is_character_resolution():
     N = 5
-    cs = make_clock(N)
-    spec = hamiltonian(clock_dynamic(cs))
+    spec = hamiltonian(clock_dynamic(N))
     assert spec.support == tuple(range(N))
     for E in range(N):
         p = spec.projectors[E]

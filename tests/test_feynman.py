@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import X, tensor
 from qclock import feynman, linalg, sampling
 from qclock.dynamics import dynamic_from_generator, time_average, validate_dynamic
-from qclock.clock import make_clock
 from qclock.errors import DimensionCapError, NotCyclicError, NotUnitaryError
 from qclock.feynman import (
     composite_dynamic,
@@ -71,7 +70,7 @@ def test_composite_dynamic_of_xx():
     c = make_circuit([X, X])
     d = composite_dynamic(c)
     assert d.N == 2 and d.dim == 4
-    assert validate_dynamic(d, make_clock(2)).passed
+    assert validate_dynamic(d).passed
 
 
 def test_composite_dynamic_rejects_open_cycle():

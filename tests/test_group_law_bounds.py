@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from conftest import X, Z, phase_matrix, shift_matrix
 from qclock import dynamics, observables, sampling
-from qclock.clock import make_clock
 from qclock.dynamics import (
     UnitaryDynamic,
     _action_bound,
@@ -62,10 +61,9 @@ def reported(bound: float, exact: float) -> float:
 def test_action_bound_covers_the_sweep(N, dim, seed, perturbation):
     rng = np.random.default_rng(seed)
     U = perturbed(sampling.random_dynamic(N, dim, rng).unitaries, perturbation, rng)
-    cs = make_clock(N)
-    bound, exact = _action_bound(U), _action_sweep(U, cs.group_mult)
+    bound, exact = _action_bound(U), _action_sweep(U)
     assert bound >= exact
-    check = validate_dynamic(UnitaryDynamic(N, dim, U), cs).check("action_law")
+    check = validate_dynamic(UnitaryDynamic(N, dim, U)).check("action_law")
     assert check.passed == (exact <= EPS)
     assert check.max_error == reported(bound, exact)
 
@@ -134,9 +132,9 @@ def test_weyl_bound_covers_the_sweep(N, seed, perturbation, on_shift, swapped):
 
 
 def test_action_law_reports_the_sweep_above_tol():
-    d, cs = constant_dynamic(5, 3), make_clock(5)
+    d = constant_dynamic(5, 3)
     assert _action_bound(d.unitaries) > 1e-15
-    check = validate_dynamic(d, cs, 1e-15).check("action_law")
+    check = validate_dynamic(d, 1e-15).check("action_law")
     assert check.passed and check.max_error == 0.0
 
 
@@ -155,19 +153,6 @@ def test_weyl_relation_reports_the_sweep_above_tol():
     assert check.passed and check.max_error == exact
 
 
-def test_other_addition_tables_take_the_sweep(monkeypatch):
-    # a clock whose addition table has a value other than 1 is checked pair by pair
-    rng = np.random.default_rng(5)
-    d, cs = sampling.random_dynamic(6, 2, rng), make_clock(6)
-    cs.group_mult.value[2, 3] = 1 + 1e-12
-    calls = []
-    monkeypatch.setattr(
-        dynamics, "_action_sweep", lambda *a: calls.append(1) or _action_sweep(*a)
-    )
-    assert validate_dynamic(d, cs).passed
-    assert calls == [1]
-
-
 # -- scale: the bounds pass where the sweeps cost N^2 dim^3
 
 
@@ -176,13 +161,12 @@ def no_sweep(*args):
 
 
 def test_validate_dynamic_at_a_thousand_ticks(monkeypatch):
-    # make_clock(1000) is the largest clock under the default entry cap; the
-    # action sweep would take N^2 dim^3 = 5e8 products here
+    # the action sweep would take N^2 dim^3 = 5e8 products here
     N, dim = 1000, 8
     rng = np.random.default_rng(1000)
     W = sampling.haar_unitary(dim, rng)
     energies = rng.integers(0, N, size=dim)
     d = dynamic_from_generator(W @ np.diag(np.exp(2j * np.pi * energies / N)) @ W.conj().T, N)
     monkeypatch.setattr(dynamics, "_action_sweep", no_sweep)
-    report = validate_dynamic(d, make_clock(N))
+    report = validate_dynamic(d)
     assert report.passed, report.summary()

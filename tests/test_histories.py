@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import X
-from qclock.clock import make_clock
 from qclock.dynamics import clock_dynamic, constant_dynamic, dynamic_from_generator
 from qclock.errors import ShapeMismatchError
 from qclock.histories import (
@@ -27,7 +26,7 @@ def test_history_of_constant_dynamic_is_constant():
 
 
 def test_history_of_clock_translates_ticks():
-    h = history_from_state(clock_dynamic(make_clock(3)), [1, 0, 0])
+    h = history_from_state(clock_dynamic(3), [1, 0, 0])
     assert np.allclose(h.states, np.eye(3))
 
 

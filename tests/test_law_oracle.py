@@ -3,12 +3,14 @@
 The oracle is each law written as the literal matrix identity on the dense
 structure maps built out from the clock's tables (``dense_maps``), with
 every Kronecker factor (identity legs, the swap map) built out in full.
-The library checks the same laws as contractions of the tables themselves.
-At N <= 8 every reported error must agree with the oracle to 1e-12: on the
-exact clock tables and valid dynamics, where the errors vanish, and on
-inputs the laws reject (tables with complex noise on their values, tables
-with wrong targets, unitary families that are not representations of
-Z/N), where they do not.
+The library checks the structure, observable and conundrum laws as
+contractions of the tables themselves, and the dynamic laws by index
+arithmetic mod N, with no table; the oracle reads those on the exact
+clock's tables.  At N <= 8 every reported error must agree with the oracle
+to 1e-12: on the exact clock tables and valid dynamics, where the errors
+vanish, and on inputs the laws reject (tables with complex noise on their
+values, tables with wrong targets, unitary families that are not
+representations of Z/N), where they do not.
 """
 
 import dataclasses
@@ -78,7 +80,7 @@ def wrong_clocks(N: int) -> dict[str, object]:
 def valid_observable(flavour: str, cs, rng, dim: int = 3) -> Observable:
     if flavour == TIME_FLAVOUR:
         return time_observable(cs)
-    return observable_from_spectrum(hamiltonian(sampling.random_dynamic(cs.N, dim, rng)), cs)
+    return observable_from_spectrum(hamiltonian(sampling.random_dynamic(cs.N, dim, rng)))
 
 
 def unitary_family(N: int, dim: int, rng) -> UnitaryDynamic:
@@ -228,20 +230,16 @@ def test_dynamic_laws_agree_on_valid_dynamics():
             d = sampling.random_dynamic(N, dim, rng)
             oracle = oracle_dynamic_laws(d, cs)
             assert max(oracle.values()) < 1e-12
-            assert_agrees(validate_dynamic(d, cs), oracle)
+            assert_agrees(validate_dynamic(d), oracle)
 
 
 def test_dynamic_laws_agree_on_rejected_inputs():
     rng = np.random.default_rng(7)
     for N in range(2, 9):
         for dim in (1, 3):
-            cs = make_clock(N)
             d = unitary_family(N, dim, rng)
-            assert_agrees(validate_dynamic(d, cs), oracle_dynamic_laws(d, cs), nonzero=True)
-            d = sampling.random_dynamic(N, dim, rng)
-            noisy_cs = perturbed_clock(N, rng)
-            oracle = oracle_dynamic_laws(d, noisy_cs)
-            assert_agrees(validate_dynamic(d, noisy_cs), oracle, nonzero=True)
+            oracle = oracle_dynamic_laws(d, make_clock(N))
+            assert_agrees(validate_dynamic(d), oracle, nonzero=True)
 
 
 def test_observable_laws_agree_on_valid_observables():
@@ -298,16 +296,6 @@ def test_structure_laws_agree_on_wrong_tables(N):
     assert all(report.check(name).max_error > 1e-3 for name in VALUE_BLIND)
 
 
-def test_difference_table_fails_the_dynamic_laws():
-    rng = np.random.default_rng(23)
-    for N in range(3, 9):
-        cs = wrong_clocks(N)["difference_addition"]
-        d = sampling.random_dynamic(N, 2, rng)
-        oracle = oracle_dynamic_laws(d, cs)
-        assert oracle["action_law"] > 1e-3
-        assert_agrees(validate_dynamic(d, cs), oracle)
-
-
 def corrupted_clock(N: int, name: str, kind: str, rng):
     """The size-N clock with one table's values noised, or one target entry moved."""
     cs = make_clock(N)
@@ -334,7 +322,6 @@ def test_every_law_agrees_on_one_corrupted_table(N, name, kind, seed):
     assert_agrees(verify_strong_complementarity(cs), oracle_structure_laws(cs))
     for dim in (1, 2):
         d = sampling.random_dynamic(N, dim, rng)
-        assert_agrees(validate_dynamic(d, cs), oracle_dynamic_laws(d, cs))
         assert_agrees(conundrum_check(d, cs), oracle_conundrum(d, cs))
     for o in (
         valid_observable(TIME_FLAVOUR, cs, rng),

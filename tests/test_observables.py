@@ -33,8 +33,7 @@ MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
 
 
 def test_energy_observable_of_x_dynamic_on_eigenbasis():
-    cs = make_clock(2)
-    obs = observable_from_spectrum(hamiltonian(dynamic_from_generator(X, 2)), cs)
+    obs = observable_from_spectrum(hamiltonian(dynamic_from_generator(X, 2)))
     assert obs.flavour == GROUP_FLAVOUR
     # |+> carries the flat label column, |-> the alternating one
     assert np.allclose((obs.map @ PLUS).reshape(2, 2), np.outer(PLUS, [1, 1]))
@@ -42,15 +41,14 @@ def test_energy_observable_of_x_dynamic_on_eigenbasis():
 
 
 def test_energy_observable_of_trivial_spectrum():
-    cs = make_clock(2)
-    obs = observable_from_spectrum(hamiltonian(constant_dynamic(2, 2)), cs)
+    obs = observable_from_spectrum(hamiltonian(constant_dynamic(2, 2)))
     psi = np.array([0.6, 0.8j])
     assert np.allclose((obs.map @ psi).reshape(2, 2), np.outer(psi, [1, 1]))
 
 
 def test_clock_energy_observable_is_group_comult():
     cs = make_clock(3)
-    obs = observable_from_spectrum(hamiltonian(clock_dynamic(cs)), cs)
+    obs = observable_from_spectrum(hamiltonian(clock_dynamic(3)))
     assert np.max(np.abs(obs.map - dense_maps(cs).group_comult)) < 1e-12
 
 
@@ -60,7 +58,7 @@ def test_incomplete_spectrum_rejected():
         N=2, dim=2, projectors=np.stack([spec.projectors[0], np.zeros((2, 2))]), support=(0,)
     )
     with pytest.raises(IncompleteSpectrumError):
-        observable_from_spectrum(broken, make_clock(2))
+        observable_from_spectrum(broken)
 
 
 def test_time_observable_copies_basis():
@@ -76,15 +74,14 @@ def test_time_observable_copies_basis():
 def test_observable_identities_for_clock_structures():
     cs = make_clock(4)
     assert observable_checks(time_observable(cs), cs).passed
-    obs = observable_from_spectrum(hamiltonian(clock_dynamic(cs)), cs)
+    obs = observable_from_spectrum(hamiltonian(clock_dynamic(4)))
     assert observable_checks(obs, cs).passed
 
 
 def test_observable_identities_random_family(random_family):
     for d, _ in random_family:
-        cs = make_clock(d.N)
-        obs = observable_from_spectrum(hamiltonian(d), cs)
-        report = observable_checks(obs, cs, 1e-8)
+        obs = observable_from_spectrum(hamiltonian(d))
+        report = observable_checks(obs, make_clock(d.N), 1e-8)
         assert report.passed, report.summary()
 
 
@@ -99,8 +96,7 @@ def test_demolition_superposition_in_time_basis():
 
 
 def test_demolition_energy_weights_of_x_dynamic():
-    cs = make_clock(2)
-    obs = observable_from_spectrum(hamiltonian(dynamic_from_generator(X, 2)), cs)
+    obs = observable_from_spectrum(hamiltonian(dynamic_from_generator(X, 2)))
     assert np.allclose(demolition_measurement(obs, [1, 0]), [0.5, 0.5])
 
 
@@ -112,8 +108,7 @@ def test_demolition_requires_normalised_state():
 
 def test_demolition_distributions_are_genuine(random_family):
     for d, psi in random_family[:20]:
-        cs = make_clock(d.N)
-        obs = observable_from_spectrum(hamiltonian(d), cs)
+        obs = observable_from_spectrum(hamiltonian(d))
         w = demolition_measurement(obs, psi)
         assert np.all(w >= 0)
         assert abs(w.sum() - 1) < 1e-9

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import character_matrix
 from qclock import sampling
-from qclock.clock import character_matrix, make_clock
 from qclock.dynamics import (
     SUPPORT_THRESHOLD,
     ProjectionSpectrum,
@@ -109,12 +109,15 @@ def test_spectrum_checks_agree_with_all_pairs_oracle():
 def test_fourier_pair_and_resums_match_character_matrix():
     rng = np.random.default_rng(7)
     for N in range(1, 9):
-        cs = make_clock(N)
         chars = character_matrix(N)
         v = rng.normal(size=N) + 1j * rng.normal(size=N)
-        assert np.max(np.abs(fourier_transform(cs, v) - chars.conj().T @ v / N)) <= AGREE
-        assert np.max(np.abs(inverse_fourier_transform(cs, v) - chars @ v)) <= AGREE
+        assert np.max(np.abs(fourier_transform(v) - chars.conj().T @ v / N)) <= AGREE
+        assert np.max(np.abs(inverse_fourier_transform(v) - chars @ v)) <= AGREE
     for d in small_dynamics():
+        # a stack is transformed along its first axis, the time or energy label
+        projectors = fourier_transform(d.unitaries)
+        assert np.max(np.abs(projectors - oracle_projectors(d))) <= AGREE
+        assert np.max(np.abs(inverse_fourier_transform(projectors) - d.unitaries)) <= AGREE
         psi = sampling.random_state(d.dim, rng)
         sol = schrodinger_solve(d, psi)
         got = reconstruct_history(sol).states
@@ -126,7 +129,7 @@ def test_energy_observable_and_weights_match_character_matrix():
     for d in small_dynamics():
         spec = hamiltonian(d)
         chars = character_matrix(d.N)
-        obs = observable_from_spectrum(spec, make_clock(d.N))
+        obs = observable_from_spectrum(spec)
         want = np.einsum("ehk,te->htk", spec.projectors, chars.conj())
         assert np.max(np.abs(obs.map - want.reshape(d.dim * d.N, d.dim))) <= AGREE
         psi = sampling.random_state(d.dim, rng)

@@ -20,6 +20,7 @@ from qclock.errors import (
     NotASubgroupError,
     OrthogonalEigenstateError,
 )
+from qclock.histories import schrodinger_solve
 from qclock.reports import Check
 from qclock.sync import (
     clock_energy_collapse,
@@ -51,8 +52,7 @@ def test_synchronized_pair_constant_dynamic():
 
 
 def test_synchronized_pair_of_clock_is_cup_state():
-    cs = make_clock(3)
-    pair = synchronized_pair(clock_dynamic(cs), np.array([1, 0, 0], dtype=complex))
+    pair = synchronized_pair(clock_dynamic(3), np.array([1, 0, 0], dtype=complex))
     expected = sum(
         np.kron(np.eye(3)[t], np.eye(3)[t]) for t in range(3)
     )
@@ -90,6 +90,13 @@ def test_family_single_member_is_projection():
     d = dynamic_from_generator(X, 2)
     fam = synchronized_family([d], [E0], 0)
     assert np.allclose(fam.amplitudes, [0.5, 0.5])
+
+
+def test_family_components_are_the_spectral_solution(random_family):
+    # one implementation of P_E psi: the family's components are the history's, bit for bit
+    for d, psi in random_family[:10]:
+        family = sync.EnergyFamily([d], [psi], 0)
+        assert np.array_equal(family.comps[0], schrodinger_solve(d, psi).components)
 
 
 def test_family_constant_dynamics_single_term():
@@ -244,8 +251,7 @@ def test_internal_time_rejects_non_subgroup_image():
 
 
 def test_internal_time_of_clock_is_external_time():
-    cs = make_clock(4)
-    desc = internal_time_observable(clock_dynamic(cs))
+    desc = internal_time_observable(clock_dynamic(4))
     assert desc.internal_size == 4
     assert desc.subgroup_generator == 1
     assert np.max(np.abs(desc.basis - np.eye(4))) < 1e-9
@@ -287,8 +293,7 @@ def test_subgroup_criterion_matches_brute_force(N):
 
 
 def test_descent_trivial_when_internal_clock_is_external():
-    cs = make_clock(4)
-    dg = clock_dynamic(cs)
+    dg = clock_dynamic(4)
     rng = np.random.default_rng(41)
     dh = sampling.random_dynamic(4, 3, rng)
     v = dynamic_descent(dg, dh, 0)
@@ -316,7 +321,7 @@ def test_descent_random_compatible_pairs_pass_axioms():
         dh = dynamic_from_generator(gen, 6)
         chi = int(rng.choice([0, 2, 4]))
         out = dynamic_descent(dg, dh, chi)
-        assert validate_dynamic(out, make_clock(3), 1e-8).passed
+        assert validate_dynamic(out, 1e-8).passed
 
 
 def test_descent_incompatible_support_rejected():
