@@ -11,7 +11,6 @@ import numpy as np
 
 from qclock import (
     dynamic_from_generator,
-    hamiltonian,
     spectral_projector,
     stone_reconstruct,
     time_average,
@@ -29,7 +28,7 @@ generator = (v * phases) @ v.conj().T
 d = dynamic_from_generator(generator, N)
 print(validate_dynamic(d).summary())
 
-spec = hamiltonian(d)
+spec = d.spectrum  # computed once, kept on the dynamic
 print(f"\nsupported energy levels: {list(spec.support)}")
 for E in spec.support:
     rank = int(round(np.trace(spec.projectors[E]).real))

@@ -12,7 +12,6 @@ import numpy as np
 from qclock import (
     demolition_measurement,
     dynamic_from_generator,
-    hamiltonian,
     make_clock,
     observable_from_spectrum,
     time_observable,
@@ -33,7 +32,7 @@ print()
 print(uncertainty_check(dU, dV).summary())
 
 print("\na tick state measured against the shift's energy observable:")
-obs_u = observable_from_spectrum(hamiltonian(dU))
+obs_u = observable_from_spectrum(dU.spectrum)
 tick = np.zeros(N, dtype=complex)
 tick[2] = 1.0
 print(f"  weights: {np.round(demolition_measurement(obs_u, tick), 6)}")

@@ -29,7 +29,6 @@ from .dynamics import (
     spectral_projector,
     spectrum_checks,
     stone_reconstruct,
-    stone_resum,
     time_average,
     validate_dynamic,
 )

@@ -10,11 +10,17 @@ satisfying the eigen-relation U_t P_E = chi_E(t) P_E.  The dynamic is
 recovered from its spectrum as U_t = sum_E chi_E(t) P_E, and averaging the
 family over one period yields P_0, the projector onto the joint fixed
 points.
+
+The spectrum is a property of the dynamic: ``d.spectrum`` computes it by
+``hamiltonian`` on first use and keeps it.  A dynamic's stack and the
+projectors ``hamiltonian`` returns are read-only, so the kept spectrum
+cannot go stale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +49,14 @@ class UnitaryDynamic:
                 f"expected unitary stack of shape {(self.N, self.dim, self.dim)}, "
                 f"got {self.unitaries.shape}"
             )
+        view = self.unitaries.view()
+        view.flags.writeable = False  # a write would leave ``spectrum`` stale
+        object.__setattr__(self, "unitaries", view)
+
+    @cached_property
+    def spectrum(self) -> ProjectionSpectrum:
+        """The projector family of this dynamic, computed once (``hamiltonian``)."""
+        return hamiltonian(self)
 
 
 @dataclass(frozen=True)
@@ -189,20 +203,20 @@ def _action_bound(U: np.ndarray) -> float:
 
 
 def spectral_projector(d: UnitaryDynamic, E: int) -> np.ndarray:
-    """P_E = (1/N) sum_t conj(chi_E(t)) U_t."""
+    """P_E = (1/N) sum_t conj(chi_E(t)) U_t, read from ``d.spectrum``."""
     if not (0 <= E < d.N):
         raise ValueError(f"energy label {E} outside [0, {d.N})")
-    phases = np.exp(-2j * np.pi * E * np.arange(d.N) / d.N)
-    return np.tensordot(phases, d.unitaries, axes=1) / d.N
+    return d.spectrum.projectors[E]
 
 
 def hamiltonian(d: UnitaryDynamic) -> ProjectionSpectrum:
     """Full projector family (one FFT of the family along t), with its support.
 
     A label is supported when its projector has an entry above
-    ``SUPPORT_THRESHOLD``.
+    ``SUPPORT_THRESHOLD``.  Callers holding a dynamic read ``d.spectrum``.
     """
     stack = fourier_transform(d.unitaries)
+    stack.flags.writeable = False
     peaks = np.abs(stack).max(axis=(1, 2))
     support = tuple(int(E) for E in np.flatnonzero(peaks > SUPPORT_THRESHOLD))
     return ProjectionSpectrum(N=d.N, dim=d.dim, projectors=stack, support=support)
@@ -240,20 +254,16 @@ def spectrum_checks(
     )
 
 
-def stone_resum(s: ProjectionSpectrum) -> np.ndarray:
-    """The stack U_t = sum_E chi_E(t) P_E (an inverse FFT), for any family."""
-    return inverse_fourier_transform(s.projectors)
-
-
 def stone_reconstruct(
     s: ProjectionSpectrum, tol: Tolerance | float = DEFAULT_TOL
 ) -> UnitaryDynamic:
-    """Rebuild the dynamic from a complete spectrum by ``stone_resum``."""
+    """Rebuild the dynamic U_t = sum_E chi_E(t) P_E (an inverse FFT) from a complete spectrum."""
     if s.completeness > as_tolerance(tol).eps:
         raise IncompleteSpectrumError(
             f"projectors sum to identity only within {s.completeness:.3e}"
         )
-    return UnitaryDynamic(N=s.N, dim=s.dim, unitaries=stone_resum(s))
+    stack = inverse_fourier_transform(s.projectors)
+    return UnitaryDynamic(N=s.N, dim=s.dim, unitaries=stack)
 
 
 def time_average(d: UnitaryDynamic) -> np.ndarray:

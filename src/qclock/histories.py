@@ -19,7 +19,6 @@ from .dynamics import (
     ProjectionSpectrum,
     UnitaryDynamic,
     _power_bounds,
-    hamiltonian,
     inverse_fourier_transform,
 )
 from .errors import ShapeMismatchError
@@ -103,7 +102,7 @@ def _translation_bound(states: np.ndarray, U: np.ndarray) -> float:
 def schrodinger_solve(d: UnitaryDynamic, psi) -> SpectralSolution:
     """Split |psi> into eigenspace components psi_E = P_E |psi>."""
     psi = linalg.as_state(psi, d.dim, "dynamic")
-    components = _components(hamiltonian(d), psi)
+    components = _components(d.spectrum, psi)
     return SpectralSolution(N=d.N, dim=d.dim, components=components)
 
 

@@ -18,7 +18,13 @@ import numpy as np
 
 from . import linalg
 from .clock import ClockStructures
-from .dynamics import ProjectionSpectrum, UnitaryDynamic, _power_bounds, hamiltonian
+from .dynamics import (
+    ProjectionSpectrum,
+    UnitaryDynamic,
+    _power_bounds,
+    fourier_transform,
+    inverse_fourier_transform,
+)
 from .errors import (
     DistributionError,
     IncompleteSpectrumError,
@@ -57,8 +63,8 @@ def observable_from_spectrum(
         raise IncompleteSpectrumError(
             f"projectors sum to identity only within {s.completeness:.3e}"
         )
-    # map[h*N + t, h'] = sum_E P_E[h, h'] * conj(chi_E(t)), a forward FFT over E
-    blocks = np.fft.fft(s.projectors, axis=0)
+    # map[h*N + t, h'] = sum_E P_E[h, h'] * conj(chi_E(t)), a forward transform over E
+    blocks = s.N * fourier_transform(s.projectors)
     m = np.transpose(blocks, (1, 0, 2)).reshape(s.dim * s.N, s.dim)
     return Observable(N=s.N, dim=s.dim, map=m, flavour=GROUP_FLAVOUR)
 
@@ -133,7 +139,7 @@ def demolition_measurement(
     raw = (o.map @ psi).reshape(o.dim, o.N)
     clock_leg = psi.conj() @ raw  # length-N vector on the clock factor
     if o.flavour == GROUP_FLAVOUR:
-        weights = np.fft.ifft(clock_leg)
+        weights = inverse_fourier_transform(clock_leg) / o.N
     else:
         weights = clock_leg
 
@@ -159,20 +165,12 @@ def weyl_ccr_check(
     t over the (time-valued) support of the second's.  Degenerate
     restrictions are noted in the report.
     """
-    _check_pair(dU, dV)
-    return _weyl(dU, dV, hamiltonian(dU).support, hamiltonian(dV).support, tol)
-
-
-def _check_pair(dU: UnitaryDynamic, dV: UnitaryDynamic) -> None:
     if dU.dim != dV.dim or dU.N != dV.N:
         raise ShapeMismatchError(
             f"families on (N={dU.N}, dim={dU.dim}) vs (N={dV.N}, dim={dV.dim})"
         )
-
-
-def _weyl(dU, dV, e_support, t_support, tol: Tolerance | float) -> Report:
     eps = as_tolerance(tol).eps
-    N = dU.N
+    N, e_support, t_support = dU.N, dU.spectrum.support, dV.spectrum.support
     err = _weyl_bound(dU.unitaries, dV.unitaries, e_support, max(t_support, default=0))
     if not err <= eps:
         err = _weyl_sweep(dU.unitaries, dV.unitaries, e_support, t_support)
@@ -239,14 +237,11 @@ def uncertainty_check(
     their (unique) eigenstate; higher-rank ones a random unit vector, since
     the statement quantifies over all eigenstates.
     """
-    _check_pair(dU, dV)
+    weyl = weyl_ccr_check(dU, dV, tol)
     eps = as_tolerance(tol).eps
     rng = rng or np.random.default_rng(0)
-    N = dU.N
-    spec_u, spec_v = hamiltonian(dU), hamiltonian(dV)
-    obs = observable_from_spectrum(spec_u, tol)
-
-    weyl = _weyl(dU, dV, spec_u.support, spec_v.support, tol)
+    N, spec_v = dU.N, dV.spectrum
+    obs = observable_from_spectrum(dU.spectrum, tol)
     checks = [Check("weyl_precondition", weyl.max_error, eps)]
     notes = list(weyl.notes)
 

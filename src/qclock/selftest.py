@@ -1,7 +1,7 @@
 """Seeded randomised property suites, callable from the command line.
 
 Each suite draws instances from the seeded samplers and checks the
-corresponding round-trip or conservation property; results come back as a
+corresponding law or conservation property; results come back as a
 single report suitable for deterministic JSON output.
 """
 
@@ -10,41 +10,27 @@ from __future__ import annotations
 import numpy as np
 
 from . import sampling
-from .dynamics import (
-    hamiltonian,
-    spectral_projector,
-    stone_resum,
-    time_average,
-    validate_dynamic,
-)
+from .dynamics import validate_dynamic
 from .feynman import feynman_check
-from .histories import history_from_state, is_em_morphism, reconstruct_history, schrodinger_solve
+from .histories import history_from_state, is_em_morphism, schrodinger_solve
 from .linalg import DEFAULT_TOL, SELF_TEST_FLOOR, Tolerance, as_tolerance, max_abs_diff
 from .reports import Check, Report
 from .sync import EnergyFamily
 from .errors import OrthogonalEigenstateError
 
 
-def _stone_suite(rng: np.random.Generator, eps: float) -> list[Check]:
-    err_round = err_ergodic = err_axioms = 0.0
+def _axioms_suite(rng: np.random.Generator, eps: float) -> list[Check]:
+    err_axioms = 0.0
     for _ in range(20):
         N = int(rng.integers(2, 13))
         dim = int(rng.integers(1, 6))
         d = sampling.random_dynamic(N, dim, rng)
         err_axioms = max(err_axioms, validate_dynamic(d).max_error)
-        err_round = max(err_round, max_abs_diff(stone_resum(hamiltonian(d)), d.unitaries))
-        err_ergodic = max(
-            err_ergodic, max_abs_diff(time_average(d), spectral_projector(d, 0))
-        )
-    return [
-        Check("dynamic_axioms", err_axioms, eps),
-        Check("stone_round_trip", err_round, eps),
-        Check("ergodic_average", err_ergodic, eps),
-    ]
+    return [Check("dynamic_axioms", err_axioms, eps)]
 
 
 def _history_suite(rng: np.random.Generator, eps: float) -> list[Check]:
-    err_em = err_round = err_sum = 0.0
+    err_em = err_sum = 0.0
     for _ in range(20):
         N = int(rng.integers(2, 13))
         dim = int(rng.integers(1, 6))
@@ -55,13 +41,9 @@ def _history_suite(rng: np.random.Generator, eps: float) -> list[Check]:
         err_em = max(err_em, e)
         sol = schrodinger_solve(d, psi)
         err_sum = max(err_sum, max_abs_diff(sol.components.sum(axis=0), psi))
-        err_round = max(
-            err_round, max_abs_diff(reconstruct_history(sol).states, h.states)
-        )
     return [
         Check("history_translation_equation", err_em, eps),
         Check("spectral_components_sum", err_sum, eps),
-        Check("history_round_trip", err_round, eps),
     ]
 
 
@@ -90,7 +72,7 @@ def _conservation_suite(rng: np.random.Generator, eps: float) -> list[Check]:
         chi = int(rng.integers(0, N))
         family = EnergyFamily(ds, psis, chi)
         err_collapse = max(err_collapse, family.collapse().residual)
-        rank1 = [E for E, rank in family.specs[-1].ranks.items() if rank == 1]
+        rank1 = [E for E, rank in ds[-1].spectrum.ranks.items() if rank == 1]
         for E in rank1:
             try:
                 res = family.measure(M - 1, E)
@@ -111,7 +93,7 @@ def run_self_test(seed: int = 0, tol: Tolerance | float = DEFAULT_TOL) -> Report
     """
     eps = max(as_tolerance(tol).eps, SELF_TEST_FLOOR)
     checks: list[Check] = []
-    checks += _stone_suite(np.random.default_rng(seed), eps)
+    checks += _axioms_suite(np.random.default_rng(seed), eps)
     checks += _history_suite(np.random.default_rng(seed + 1), eps)
     checks += _feynman_suite(np.random.default_rng(seed + 2), eps)
     checks += _conservation_suite(np.random.default_rng(seed + 3), eps)

@@ -9,6 +9,9 @@ subtracts from the total carried by the rest.  When a system's own energy
 image forms a subgroup {0, g, 2g, ...} of Z/N it supports an internal time
 basis realising the quotient clock Z/m, onto which the external dynamic of
 a partner system descends.
+
+Every function here reads a dynamic's spectrum as ``d.spectrum``, which is
+computed once per dynamic and shared by all of them.
 """
 
 from __future__ import annotations
@@ -21,12 +24,7 @@ import numpy as np
 
 from . import linalg
 from .clock import ClockStructures, Table, residual
-from .dynamics import (
-    ProjectionSpectrum,
-    UnitaryDynamic,
-    hamiltonian,
-    validate_dynamic,
-)
+from .dynamics import UnitaryDynamic, validate_dynamic
 from .errors import (
     AxiomsViolatedError,
     DegenerateError,
@@ -106,8 +104,7 @@ def conundrum_check(
     if d.N != cs.N:
         raise ShapeMismatchError(f"dynamic over Z/{d.N} but clock of size {cs.N}")
     eps = as_tolerance(tol).eps
-    N, c = d.N, cs.time_copy
-    spec = hamiltonian(d)
+    N, c, spec = d.N, cs.time_copy, d.spectrum
 
     comm = 0.0
     for p in spec.projectors:
@@ -126,7 +123,7 @@ def conundrum_check(
     )
 
 
-def _energy_convolution(comps: Sequence[np.ndarray], specs) -> np.ndarray:
+def _energy_convolution(comps: Sequence[np.ndarray], ds: Sequence[UnitaryDynamic]) -> np.ndarray:
     """acc[e] = sum over supported E_1..E_M, sum E_j = e (mod N), of (x)_j comps[j][E_j].
 
     A cyclic convolution over the energy axis, one system at a time: each
@@ -136,9 +133,9 @@ def _energy_convolution(comps: Sequence[np.ndarray], specs) -> np.ndarray:
     N = comps[0].shape[0]
     acc = np.zeros((N, 1), dtype=np.complex128)
     acc[0, 0] = 1.0
-    for c, spec in zip(comps, specs):
+    for c, d in zip(comps, ds):
         nxt = np.zeros((N, acc.shape[1], c.shape[1]), dtype=np.complex128)
-        for b in spec.support:
+        for b in d.spectrum.support:
             nxt += np.roll(acc, b, axis=0)[:, :, None] * c[b]
         acc = nxt.reshape(N, -1)
     return acc
@@ -147,7 +144,7 @@ def _energy_convolution(comps: Sequence[np.ndarray], specs) -> np.ndarray:
 class EnergyFamily:
     """The synchronised family of M systems sharing a clock, at total energy chi.
 
-    Each system's spectrum is computed once.  ``state`` holds the family,
+    Each system's spectrum is read from its dynamic.  ``state`` holds the family,
     sum over (E_1..E_M) with sum E_j = chi (mod N) of (x)_j P_{E_j} psi_j,
     built by cyclic convolution over energy at O(M N^2 D) for D the product
     of the system dims; ``collapse`` builds it again as a sum over time and
@@ -166,10 +163,9 @@ class EnergyFamily:
         self.psis = tuple(linalg.as_state(psi, d.dim, "dynamic") for d, psi in zip(ds, psis))
         dims = tuple(d.dim for d in self.ds)
         linalg.check_entries(N, math.prod(dims))
-        self.specs = tuple(hamiltonian(d) for d in self.ds)
         # comps[j][E] = P_E psi_j, of shape (N, dim_j)
-        self.comps = tuple(_components(spec, psi) for spec, psi in zip(self.specs, self.psis))
-        amplitudes = _energy_convolution(self.comps, self.specs)[chi]
+        self.comps = tuple(_components(d.spectrum, psi) for d, psi in zip(self.ds, self.psis))
+        amplitudes = _energy_convolution(self.comps, self.ds)[chi]
         self.state = SyncState(factor_dims=dims, amplitudes=amplitudes)
 
     def collapse(self) -> CollapseResult:
@@ -202,7 +198,7 @@ class EnergyFamily:
         """
         N = self.ds[0].N
         E = Eprime % N
-        spec = self.specs[j]
+        spec = self.ds[j].spectrum
         rank = spec.ranks.get(E, 0)
         if rank != 1:
             raise DegenerateError(f"system {j} has rank-{rank} projector at energy {Eprime}")
@@ -220,7 +216,7 @@ class EnergyFamily:
         factors = self.state.amplitudes.reshape(dims)
         contracted = np.tensordot(phi.conj(), factors, axes=([0], [j])).reshape(-1)
         expected = _energy_convolution(
-            [self.comps[i] for i in rest], [self.specs[i] for i in rest]
+            [self.comps[i] for i in rest], [self.ds[i] for i in rest]
         )[(self.chi - E) % N]
         return MeasureResult(
             state=SyncState(factor_dims=tuple(dims[i] for i in rest), amplitudes=contracted),
@@ -276,14 +272,15 @@ def subsystem_energy_measure(
 
 def is_nondegenerate(d: UnitaryDynamic) -> bool:
     """True iff every supported projector has rank 1 and they number dim."""
-    return _degeneracy(hamiltonian(d)) == 0
+    return _degeneracy(d) == 0
 
 
-def _degeneracy(spec: ProjectionSpectrum) -> int:
+def _degeneracy(d: UnitaryDynamic) -> int:
     """Zero iff there are dim levels, all of rank 1; else a positive count.
 
     For a genuine spectrum this is dim minus the number of levels.
     """
+    spec = d.spectrum
     off_rank = sum(r != 1 for r in spec.ranks.values())
     return max(abs(spec.dim - len(spec.support)), off_rank)
 
@@ -295,12 +292,9 @@ def _subgroup_gap(energies: Sequence[int], N: int) -> int:
 
 def demolition_hamiltonian(d: UnitaryDynamic) -> list[tuple[np.ndarray, int]]:
     """One normalised eigenvector per supported energy, labels injective."""
-    return _demolition_pairs(hamiltonian(d))
-
-
-def _demolition_pairs(spec: ProjectionSpectrum) -> list[tuple[np.ndarray, int]]:
-    if _degeneracy(spec):
+    if _degeneracy(d):
         raise DegenerateError("dynamic has a degenerate energy level")
+    spec = d.spectrum
     return [(linalg.rank1_eigvec(spec.projectors[E]), E) for E in spec.support]
 
 
@@ -316,39 +310,7 @@ def internal_time_observable(d: UnitaryDynamic) -> InternalClockDescriptor:
     carrying external time onto the internal clock Z/m; how far it misses
     is ``permutation_error``, which ``internal_time_check`` judges.
     """
-    return _internal_time(d, hamiltonian(d))
-
-
-def internal_time_check(d: UnitaryDynamic, tol: Tolerance | float = DEFAULT_TOL) -> Report:
-    """Whether a dynamic carries an internal clock, as a report.
-
-    Each check runs only when the ones before it pass: the spectrum is
-    non-degenerate (error: dim minus the number of levels), its
-    energy image is a subgroup of Z/N (error: labels of the generated
-    subgroup it misses), and U_1 advances the internal time states within
-    tolerance.  The facts are ``N``, ``nondegenerate``, ``subgroup`` and,
-    once known, ``energies``, ``g``, ``m`` and ``permutation_error``.
-    """
-    spec = hamiltonian(d)
-    degeneracy = _degeneracy(spec)
-    checks = [Check("nondegenerate_spectrum", float(degeneracy), 0.0)]
-    facts = {"N": d.N, "nondegenerate": degeneracy == 0, "subgroup": False}
-    if degeneracy == 0:
-        gap = _subgroup_gap(spec.support, d.N)
-        checks.append(Check("energy_image_is_subgroup", float(gap), 0.0))
-        facts["energies"] = list(spec.support)
-        if gap == 0:
-            desc = _internal_time(d, spec)
-            err = desc.permutation_error
-            checks.append(Check("one_step_advances_internal_time", err, as_tolerance(tol).eps))
-            g, m = desc.subgroup_generator, desc.internal_size
-            facts.update(subgroup=True, g=g, m=m, permutation_error=err)
-    title = f"internal time observable (N={d.N}, dim={d.dim})"
-    return Report(title, tuple(checks), facts=facts)
-
-
-def _internal_time(d: UnitaryDynamic, spec: ProjectionSpectrum) -> InternalClockDescriptor:
-    pairs = _demolition_pairs(spec)
+    pairs = demolition_hamiltonian(d)
     energies = tuple(E for _, E in pairs)
     m = len(energies)
     N = d.N
@@ -373,6 +335,34 @@ def _internal_time(d: UnitaryDynamic, spec: ProjectionSpectrum) -> InternalClock
     )
 
 
+def internal_time_check(d: UnitaryDynamic, tol: Tolerance | float = DEFAULT_TOL) -> Report:
+    """Whether a dynamic carries an internal clock, as a report.
+
+    Each check runs only when the ones before it pass: the spectrum is
+    non-degenerate (error: dim minus the number of levels), its
+    energy image is a subgroup of Z/N (error: labels of the generated
+    subgroup it misses), and U_1 advances the internal time states within
+    tolerance.  The facts are ``N``, ``nondegenerate``, ``subgroup`` and,
+    once known, ``energies``, ``g``, ``m`` and ``permutation_error``.
+    """
+    spec = d.spectrum
+    degeneracy = _degeneracy(d)
+    checks = [Check("nondegenerate_spectrum", float(degeneracy), 0.0)]
+    facts = {"N": d.N, "nondegenerate": degeneracy == 0, "subgroup": False}
+    if degeneracy == 0:
+        gap = _subgroup_gap(spec.support, d.N)
+        checks.append(Check("energy_image_is_subgroup", float(gap), 0.0))
+        facts["energies"] = list(spec.support)
+        if gap == 0:
+            desc = internal_time_observable(d)
+            err = desc.permutation_error
+            checks.append(Check("one_step_advances_internal_time", err, as_tolerance(tol).eps))
+            g, m = desc.subgroup_generator, desc.internal_size
+            facts.update(subgroup=True, g=g, m=m, permutation_error=err)
+    title = f"internal time observable (N={d.N}, dim={d.dim})"
+    return Report(title, tuple(checks), facts=facts)
+
+
 def dynamic_descent(
     dG: UnitaryDynamic,
     dH: UnitaryDynamic,
@@ -394,20 +384,19 @@ def dynamic_descent(
         raise ShapeMismatchError(f"clock sizes differ: {dG.N} vs {dH.N}")
     if not (0 <= chi < dG.N):
         raise ValueError(f"total energy {chi} outside [0, {dG.N})")
-    spec_g, spec_h = hamiltonian(dG), hamiltonian(dH)
-    desc = _internal_time(dG, spec_g)
+    desc = internal_time_observable(dG)
     m, g, N = desc.internal_size, desc.subgroup_generator, dG.N
 
     u0 = desc.basis[:, 0]
     # c[tau, k] = <tau|_int P_{k g} |0>_int, evaluated on the actual states
-    proj0 = np.column_stack([spec_g.projectors[k * g] @ u0 for k in range(m)])
+    proj0 = np.column_stack([dG.spectrum.projectors[k * g] @ u0 for k in range(m)])
     coeff = desc.basis.conj().T @ proj0
 
     dim = dH.dim
     stack = np.zeros((m, dim, dim), dtype=np.complex128)
     for tau in range(m):
         for k in range(m):
-            stack[tau] += m * coeff[tau, k] * spec_h.projectors[(chi - k * g) % N]
+            stack[tau] += m * coeff[tau, k] * dH.spectrum.projectors[(chi - k * g) % N]
 
     candidate = UnitaryDynamic(N=m, dim=dim, unitaries=stack)
     report = validate_dynamic(candidate, tol)

@@ -102,17 +102,17 @@ def random_family():
     return family
 
 
-def count_spectra(monkeypatch, module):
-    """Count hamiltonian calls made through ``module``, keyed by dynamic."""
+def count_spectra(monkeypatch):
+    """Count the spectra computed (``dynamics.hamiltonian`` calls), keyed by dynamic."""
     from collections import Counter
 
     from qclock import dynamics
 
-    calls = Counter()
+    calls, hamiltonian = Counter(), dynamics.hamiltonian
 
     def counting(d, *args, **kwargs):
         calls[id(d)] += 1
-        return dynamics.hamiltonian(d, *args, **kwargs)
+        return hamiltonian(d, *args, **kwargs)
 
-    monkeypatch.setattr(module, "hamiltonian", counting)
+    monkeypatch.setattr(dynamics, "hamiltonian", counting)
     return calls

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import X, count_spectra, phase_matrix, shift_matrix
-from qclock import cli, linalg, sync
+from qclock import cli, linalg
 from qclock.clock import make_clock
 from qclock.linalg import SELF_TEST_FLOOR
 from qclock.selftest import run_self_test
@@ -425,11 +425,18 @@ def test_sync_measure_overlap_is_not_judged_at_tol(tmp_path, tol):
 
 
 def test_sync_computes_each_spectrum_once(tmp_path, monkeypatch):
-    calls = count_spectra(monkeypatch, sync)
+    # the family, the spectrum checks and the measure share each system's spectrum
+    calls = count_spectra(monkeypatch)
     path = _sync_file(tmp_path, [np.array([1, 0])] * 3, [{"system": 2, "energy": 1}], chi=1)
     code, _, err = run_main("sync", str(path))
     assert code == 0, err
     assert sorted(calls.values()) == [1, 1, 1]
+
+    calls.clear()
+    path.write_text(json.dumps({"N": 2, "generator": matrix_to_json(X)}))
+    code, _, err = run_main("dynamic", str(path))
+    assert code == 0, err
+    assert list(calls.values()) == [1]
 
 
 def test_sync_at_ten_systems(tmp_path):

@@ -81,6 +81,19 @@ def test_validate_constant_dynamic_exact():
     assert exact <= report.max_error <= 1e-14
 
 
+def test_dynamic_stack_and_its_spectrum_are_read_only():
+    # a write would leave the spectrum the dynamic keeps stale, so it raises
+    d = dynamic_from_generator(X, 2)
+    with pytest.raises(ValueError):
+        d.unitaries[1] = np.eye(2)
+    with pytest.raises(ValueError):
+        d.unitaries[0, 0, 0] += 1e-3
+    with pytest.raises(ValueError):
+        d.spectrum.projectors[0, 0, 0] = 0.0
+    assert d.spectrum is d.spectrum
+    assert np.array_equal(d.spectrum.projectors, hamiltonian(d).projectors)
+
+
 def test_spectral_projectors_of_x_dynamic():
     d = dynamic_from_generator(X, 2)
     assert np.allclose(spectral_projector(d, 0), P_PLUS)

@@ -178,8 +178,8 @@ CASES = (
 )
 
 
-def run_case(argv: list, doc, directory: Path) -> tuple[int, str]:
-    """(exit code, SHA-256 of stdout) of ``cli.main`` on argv and, if given, a file holding doc."""
+def run_report(argv: list, doc, directory: Path) -> tuple[int, str]:
+    """(exit code, stdout) of ``cli.main`` on argv and, if given, a file holding doc."""
     if doc is not None:
         path = directory / "input.json"
         path.write_text(json.dumps(doc))
@@ -187,7 +187,13 @@ def run_case(argv: list, doc, directory: Path) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return code, out.getvalue()
+
+
+def run_case(argv: list, doc, directory: Path) -> tuple[int, str]:
+    """(exit code, SHA-256 of stdout) of ``run_report``."""
+    code, text = run_report(argv, doc, directory)
+    return code, hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_case_ids_are_unique():
@@ -199,6 +205,22 @@ def test_case_ids_are_unique():
 def test_golden_report(tmp_path, cid, argv, doc):
     code, digest = run_case(argv, doc, tmp_path)
     assert {"exit": code, "sha256": digest} == json.loads(TABLE.read_text())[cid]
+
+
+def test_every_dynamic_check_fails_on_some_fixture(tmp_path):
+    # a check earns its place in the report only if some bad input fails it at
+    # the default tol; a tightened --tol fails any residual and earns nothing
+    failed, names = set(), set()
+    for _, argv, doc in CASES:
+        if argv != ["dynamic"]:
+            continue
+        code, text = run_report(argv, doc, tmp_path)
+        if code == 2:
+            continue
+        checks = json.loads(text)["checks"]
+        names |= {c["name"] for c in checks}
+        failed |= {c["name"] for c in checks if not c["pass"]}
+    assert names and names <= failed, sorted(names - failed)
 
 
 if __name__ == "__main__":

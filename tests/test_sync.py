@@ -360,19 +360,30 @@ def test_proportionality_residual_reads_the_relative_deviation(deviation):
 
 
 def test_each_spectrum_computed_once(monkeypatch):
-    calls = count_spectra(monkeypatch, sync)
+    calls = count_spectra(monkeypatch)
     ds = [dynamic_from_generator(X, 2) for _ in range(3)]
     subsystem_energy_measure(ds, [E0, E0, E0], 1, 2, 1)
     assert sorted(calls.values()) == [1, 1, 1]
+    # later calls on the same dynamics compute no spectrum
+    clock_energy_collapse(ds, [E0, E0, E0], 1)
+    assert all(is_nondegenerate(d) for d in ds)
+    assert conundrum_check(ds[0], make_clock(2)).passed
+    assert sorted(calls.values()) == [1, 1, 1]
 
     calls.clear()
-    internal_time_observable(dynamic_from_generator(Z6_CLOCK, 6))
+    d = dynamic_from_generator(Z6_CLOCK, 6)
+    internal_time_observable(d)
+    demolition_hamiltonian(d)
+    assert internal_time_check(d).passed
     assert list(calls.values()) == [1]
 
 
 def test_descent_computes_each_spectrum_once(monkeypatch):
-    calls = count_spectra(monkeypatch, sync)
+    calls = count_spectra(monkeypatch)
     dg = dynamic_from_generator(Z6_CLOCK, 6)
     dh = dynamic_from_generator(np.array([[W6**2]]), 6)
+    assert internal_time_check(dg).passed
+    assert list(calls.values()) == [1]
     dynamic_descent(dg, dh, 0)
+    schrodinger_solve(dh, [1])
     assert sorted(calls.values()) == [1, 1]

@@ -101,7 +101,7 @@ def test_family_collapse_and_measure_match_the_oracle(family):
         if j == 0:
             continue
         # <phi| on factor j leaves <phi|P_E psi_j> times the others' family at chi - E
-        for E in [E for E, rank in fam.specs[j].ranks.items() if rank == 1]:
+        for E in [E for E, rank in fam.ds[j].spectrum.ranks.items() if rank == 1]:
             try:
                 res = fam.measure(j, E)
             except OrthogonalEigenstateError:
