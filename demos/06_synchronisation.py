@@ -10,12 +10,10 @@ shifts the total left for the others.
 import numpy as np
 
 from qclock import (
-    clock_energy_collapse,
+    EnergyFamily,
     conundrum_check,
     dynamic_from_generator,
     make_clock,
-    subsystem_energy_measure,
-    synchronized_family,
     synchronized_pair,
 )
 
@@ -24,21 +22,21 @@ d = dynamic_from_generator(X, 2)
 e0 = np.array([1, 0], dtype=complex)
 
 pair = synchronized_pair(d, e0)
-print(f"synchronised pair of the X dynamic with |0>: {np.round(pair.amplitudes.real, 3)}")
+print(f"synchronised pair of the X dynamic with |0>: {np.round(pair.real, 3)}")
 print("\ntime and energy commute on the joint space:")
 print(conundrum_check(d, make_clock(2)).summary())
 
 print("\ntwo systems, one clock, total energy fixed at 1:")
-fam = synchronized_family([d, d], [e0, e0], 1)
+fam = EnergyFamily([d, d], [e0, e0], 1)
 print(f"  family state: {np.round(fam.amplitudes.real, 3)}   (half of |00> - |11>)")
 
-res = clock_energy_collapse([d, d], [e0, e0], 1)
+res = fam.collapse()
 print(
     f"  projecting the clock onto level -1 reproduces it: residual {res.residual:.2e}"
 )
 
-out = subsystem_energy_measure([d, d], [e0, e0], 1, 1, 1)
-state = out.state.amplitudes / np.linalg.norm(out.state.amplitudes)
+out = fam.measure(1, 1)
+state = out.amplitudes / np.linalg.norm(out.amplitudes)
 print(
     "  measuring system 2 at E'=1 leaves system 1 with energy 0:"
     f" state {np.round(state.real, 3)}, residual {out.residual:.2e}"

@@ -85,15 +85,12 @@ from .sync import (
     EnergyFamily,
     InternalClockDescriptor,
     MeasureResult,
-    SyncState,
-    clock_energy_collapse,
     conundrum_check,
     demolition_hamiltonian,
     dynamic_descent,
     internal_time_check,
     internal_time_observable,
     is_nondegenerate,
-    subsystem_energy_measure,
     synchronized_family,
     synchronized_pair,
 )

@@ -83,7 +83,7 @@ def _cmd_sync(args, tol: Tolerance) -> Report:
     ds, psis, chi, measures = serialize.sync_from_json(_load_json(args.file), tol)
     family = EnergyFamily(ds, psis, chi)
     collapse = family.collapse()
-    if np.linalg.norm(collapse.state.amplitudes) <= ZERO_NORM:
+    if np.linalg.norm(collapse.amplitudes) <= ZERO_NORM:
         raise InputFormatError("chi", f"the family at total energy {chi} is zero")
     # a complete family of orthogonal projectors resums to a unitary Z/N
     # representation, so each system's spectrum checks stand for its dynamic laws

@@ -228,18 +228,17 @@ def uncertainty_check(
     dU: UnitaryDynamic,
     dV: UnitaryDynamic,
     tol: Tolerance | float = DEFAULT_TOL,
-    rng: np.random.Generator | None = None,
 ) -> Report:
     """Eigenstates of the second family are unbiased for the first's observable.
 
     Every eigenstate of dV's spectrum, measured with dU's energy observable,
     must give the uniform distribution 1/N.  Rank-1 eigenspaces contribute
-    their (unique) eigenstate; higher-rank ones a random unit vector, since
-    the statement quantifies over all eigenstates.
+    their (unique) eigenstate; higher-rank ones a random unit vector, drawn
+    from seed 0, since the statement quantifies over all eigenstates.
     """
     weyl = weyl_ccr_check(dU, dV, tol)
     eps = as_tolerance(tol).eps
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     N, spec_v = dU.N, dV.spectrum
     obs = observable_from_spectrum(dU.spectrum, tol)
     checks = [Check("weyl_precondition", weyl.max_error, eps)]

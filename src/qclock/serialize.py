@@ -76,12 +76,12 @@ def is_int(val: Any) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
 
-def _require_int(doc: dict, field: str, minimum: int = 1) -> int:
+def _require_int(doc: dict, field: str) -> int:
     if field not in doc:
         raise InputFormatError(field, "missing")
     val = doc[field]
-    if not is_int(val) or val < minimum:
-        raise InputFormatError(field, f"expected an integer >= {minimum}, got {val!r}")
+    if not is_int(val) or val < 1:
+        raise InputFormatError(field, f"expected an integer >= 1, got {val!r}")
     return val
 
 
@@ -100,9 +100,7 @@ def _matrix_stack(doc: dict, field: str) -> np.ndarray:
     return np.stack(stack)
 
 
-def dynamic_to_json(d: UnitaryDynamic, generator: np.ndarray | None = None) -> dict:
-    if generator is not None:
-        return {"N": d.N, "dim": d.dim, "generator": matrix_to_json(generator)}
+def dynamic_to_json(d: UnitaryDynamic) -> dict:
     return {
         "N": d.N,
         "dim": d.dim,

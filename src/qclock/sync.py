@@ -38,30 +38,15 @@ from .reports import Check, Report
 
 
 @dataclass(frozen=True)
-class SyncState:
-    """Unnormalised state of a tensor product, clock factor last if present."""
-
-    factor_dims: tuple[int, ...]
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        want = int(np.prod(self.factor_dims))
-        if self.amplitudes.shape != (want,):
-            raise ShapeMismatchError(
-                f"amplitudes of shape {self.amplitudes.shape} for factors {self.factor_dims}"
-            )
-
-
-@dataclass(frozen=True)
 class CollapseResult:
-    state: SyncState
+    amplitudes: np.ndarray
     residual: float
 
 
 @dataclass(frozen=True)
 class MeasureResult:
-    state: SyncState
-    amplitude: complex
+    amplitudes: np.ndarray
+    overlap: complex
     residual: float
 
 
@@ -83,10 +68,9 @@ class InternalClockDescriptor:
     permutation_error: float
 
 
-def synchronized_pair(d: UnitaryDynamic, psi) -> SyncState:
-    """The unnormalised entangled state sum_t (U_t psi) (x) |t>."""
-    states = history_from_state(d, psi).states  # (N, dim)
-    return SyncState(factor_dims=(d.dim, d.N), amplitudes=states.T.reshape(-1))
+def synchronized_pair(d: UnitaryDynamic, psi) -> np.ndarray:
+    """The unnormalised entangled state sum_t (U_t psi) (x) |t>, at index h * N + t."""
+    return history_from_state(d, psi).states.T.reshape(-1)
 
 
 def conundrum_check(
@@ -144,8 +128,8 @@ def _energy_convolution(comps: Sequence[np.ndarray], ds: Sequence[UnitaryDynamic
 class EnergyFamily:
     """The synchronised family of M systems sharing a clock, at total energy chi.
 
-    Each system's spectrum is read from its dynamic.  ``state`` holds the family,
-    sum over (E_1..E_M) with sum E_j = chi (mod N) of (x)_j P_{E_j} psi_j,
+    Each system's spectrum is read from its dynamic.  ``amplitudes`` holds the
+    family, sum over (E_1..E_M) with sum E_j = chi (mod N) of (x)_j P_{E_j} psi_j,
     built by cyclic convolution over energy at O(M N^2 D) for D the product
     of the system dims; ``collapse`` builds it again as a sum over time and
     ``measure`` contracts one factor of it.  No array beyond N x D is built.
@@ -161,19 +145,17 @@ class EnergyFamily:
             raise ValueError(f"total energy {chi} outside [0, {N})")
         self.ds, self.chi = tuple(ds), chi
         self.psis = tuple(linalg.as_state(psi, d.dim, "dynamic") for d, psi in zip(ds, psis))
-        dims = tuple(d.dim for d in self.ds)
-        linalg.check_entries(N, math.prod(dims))
+        linalg.check_entries(N, math.prod(d.dim for d in self.ds))
         # comps[j][E] = P_E psi_j, of shape (N, dim_j)
         self.comps = tuple(_components(d.spectrum, psi) for d, psi in zip(self.ds, self.psis))
-        amplitudes = _energy_convolution(self.comps, self.ds)[chi]
-        self.state = SyncState(factor_dims=dims, amplitudes=amplitudes)
+        self.amplitudes = _energy_convolution(self.comps, self.ds)[chi]
 
     def collapse(self) -> CollapseResult:
         """Project the clock of sum_t (x)_j (U_t^(j) psi_j) (x) |t> onto level -chi.
 
         The clock leg is contracted with the energy functional of level -chi
         (values chi_{-chi}(t)), from the per-system trajectories at O(N M D);
-        the result must be proportional, with nonzero factor, to ``state``.
+        the result must be proportional, with nonzero factor, to ``amplitudes``.
         The residual of that proportionality is returned.
         """
         N = self.ds[0].N
@@ -183,20 +165,19 @@ class EnergyFamily:
             joint = (joint[:, :, None] * trajectory[:, None, :]).reshape(N, -1)
         effect = np.exp(2j * np.pi * (-self.chi % N) * np.arange(N) / N)  # chi_{-chi}(t)
         collapsed = effect @ joint
-        return CollapseResult(
-            state=SyncState(factor_dims=self.state.factor_dims, amplitudes=collapsed),
-            residual=_proportionality_residual(collapsed, self.state.amplitudes),
-        )
+        return CollapseResult(collapsed, _proportionality_residual(collapsed, self.amplitudes))
 
     def measure(self, j: int, Eprime: int) -> MeasureResult:
-        """Measure member j at energy Eprime.
+        """Measure member j, in [0, M), at energy Eprime.
 
-        Contracting factor j of ``state`` with the (rank-1) eigenstate at
-        Eprime must leave, up to the returned amplitude, the family of the
+        Contracting factor j of ``amplitudes`` with the (rank-1) eigenstate at
+        Eprime must leave, up to the returned overlap, the family of the
         remaining systems with total energy chi - Eprime mod N, which is
         convolved afresh from their components.
         """
-        N = self.ds[0].N
+        M, N = len(self.ds), self.ds[0].N
+        if not (0 <= j < M):
+            raise ValueError(f"member {j} outside [0, {M})")
         E = Eprime % N
         spec = self.ds[j].spectrum
         rank = spec.ranks.get(E, 0)
@@ -208,32 +189,21 @@ class EnergyFamily:
             raise OrthogonalEigenstateError(
                 f"eigenstate at energy {Eprime} is orthogonal to the state of system {j}"
             )
-        rest = [i for i in range(len(self.ds)) if i != j]
+        rest = [i for i in range(M) if i != j]
         if not rest:
             raise ValueError("family needs at least one system")
 
-        dims = self.state.factor_dims
-        factors = self.state.amplitudes.reshape(dims)
+        factors = self.amplitudes.reshape([d.dim for d in self.ds])
         contracted = np.tensordot(phi.conj(), factors, axes=([0], [j])).reshape(-1)
         expected = _energy_convolution(
             [self.comps[i] for i in rest], [self.ds[i] for i in rest]
         )[(self.chi - E) % N]
-        return MeasureResult(
-            state=SyncState(factor_dims=tuple(dims[i] for i in rest), amplitudes=contracted),
-            amplitude=overlap,
-            residual=_proportionality_residual(contracted, expected),
-        )
+        return MeasureResult(contracted, overlap, _proportionality_residual(contracted, expected))
 
 
-def synchronized_family(
-    ds: Sequence[UnitaryDynamic], psis: Sequence, chi: int
-) -> SyncState:
-    """Superposition over per-system energies with fixed total chi mod N.
-
-    amplitudes = sum over (E_1..E_M), sum E_j = chi (mod N), of
-    (x)_j P_{E_j} psi_j.
-    """
-    return EnergyFamily(ds, psis, chi).state
+def synchronized_family(ds: Sequence[UnitaryDynamic], psis: Sequence, chi: int) -> EnergyFamily:
+    """The synchronised family of ``ds`` in states ``psis`` at total energy chi mod N."""
+    return EnergyFamily(ds, psis, chi)
 
 
 def _proportionality_residual(a: np.ndarray, b: np.ndarray) -> float:
@@ -248,26 +218,6 @@ def _proportionality_residual(a: np.ndarray, b: np.ndarray) -> float:
     if na <= ZERO_NORM or nb <= ZERO_NORM:
         return 1.0
     return float(np.linalg.norm(a - b * (np.vdot(b, a) / nb**2))) / na
-
-
-def clock_energy_collapse(
-    ds: Sequence[UnitaryDynamic], psis: Sequence, chi: int
-) -> CollapseResult:
-    """Project the clock of a separable synchronised pair onto level -chi.
-
-    See ``EnergyFamily.collapse``.
-    """
-    return EnergyFamily(ds, psis, chi).collapse()
-
-
-def subsystem_energy_measure(
-    ds: Sequence[UnitaryDynamic], psis: Sequence, chi: int, j: int, Eprime: int
-) -> MeasureResult:
-    """Measure member j of a synchronised family at energy Eprime.
-
-    See ``EnergyFamily.measure``.
-    """
-    return EnergyFamily(ds, psis, chi).measure(j, Eprime)
 
 
 def is_nondegenerate(d: UnitaryDynamic) -> bool:

@@ -38,13 +38,7 @@ from qclock.observables import (
     weyl_ccr_check,
 )
 from qclock.serialize import matrix_to_json
-from qclock.sync import (
-    clock_energy_collapse,
-    dynamic_descent,
-    internal_time_observable,
-    subsystem_energy_measure,
-    synchronized_family,
-)
+from qclock.sync import EnergyFamily, dynamic_descent, internal_time_observable
 
 E0 = np.array([1, 0], dtype=complex)
 W6 = np.exp(2j * np.pi / 6)
@@ -199,9 +193,7 @@ def test_criterion_07_feynman_clock():
 
 
 def test_criterion_08_conservation_of_total_energy():
-    golden = synchronized_family(
-        [dynamic_from_generator(X, 2)] * 2, [E0, E0], 1
-    )
+    golden = EnergyFamily([dynamic_from_generator(X, 2)] * 2, [E0, E0], 1)
     golden_ok = np.max(np.abs(golden.amplitudes - np.array([0.5, 0, 0, -0.5]))) < 1e-12
 
     rng = np.random.default_rng(888)
@@ -213,16 +205,15 @@ def test_criterion_08_conservation_of_total_energy():
         ds = [sampling.random_dynamic(N, int(rng.integers(1, 4)), rng) for _ in range(M)]
         psis = [sampling.random_state(d.dim, rng) for d in ds]
         chi = int(rng.integers(0, N))
-        worst_collapse = max(
-            worst_collapse, clock_energy_collapse(ds, psis, chi).residual
-        )
+        family = EnergyFamily(ds, psis, chi)
+        worst_collapse = max(worst_collapse, family.collapse().residual)
         j = int(rng.integers(0, M))
         spec = hamiltonian(ds[j])
         for E in spec.support:
             if int(round(float(np.trace(spec.projectors[E]).real))) != 1:
                 continue
             try:
-                res = subsystem_energy_measure(ds, psis, chi, j, E)
+                res = family.measure(j, E)
             except OrthogonalEigenstateError:
                 continue
             worst_measure = max(worst_measure, res.residual)

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import X
 from qclock import sampling
-from qclock.dynamics import dynamic_from_generator
 from qclock.errors import InputFormatError
 from qclock.serialize import (
     canonical_dumps,
@@ -41,7 +40,7 @@ def test_seventeen_digit_floats_survive():
 
 
 def test_dynamic_generator_round_trip():
-    doc = dynamic_to_json(dynamic_from_generator(X, 2), generator=X)
+    doc = {"N": 2, "dim": 2, "generator": matrix_to_json(X)}
     d = dynamic_from_json(json.loads(json.dumps(doc)))
     assert d.N == 2 and d.dim == 2
     assert np.array_equal(d.unitaries[1], X)

@@ -23,14 +23,13 @@ from qclock.errors import (
 from qclock.histories import schrodinger_solve
 from qclock.reports import Check
 from qclock.sync import (
-    clock_energy_collapse,
+    EnergyFamily,
     conundrum_check,
     demolition_hamiltonian,
     dynamic_descent,
     internal_time_check,
     internal_time_observable,
     is_nondegenerate,
-    subsystem_energy_measure,
     synchronized_family,
     synchronized_pair,
 )
@@ -42,13 +41,12 @@ Z6_CLOCK = np.diag([1, W6**2, W6**4])
 
 def test_synchronized_pair_of_x_dynamic():
     pair = synchronized_pair(dynamic_from_generator(X, 2), E0)
-    assert pair.factor_dims == (2, 2)
-    assert np.allclose(pair.amplitudes, [1, 0, 0, 1])  # |0,0> + |1,1>
+    assert np.allclose(pair, [1, 0, 0, 1])  # |0,0> + |1,1>
 
 
 def test_synchronized_pair_constant_dynamic():
     pair = synchronized_pair(constant_dynamic(3, 2), E0)
-    assert np.allclose(pair.amplitudes, np.kron(E0, np.ones(3)))
+    assert np.allclose(pair, np.kron(E0, np.ones(3)))
 
 
 def test_synchronized_pair_of_clock_is_cup_state():
@@ -56,13 +54,13 @@ def test_synchronized_pair_of_clock_is_cup_state():
     expected = sum(
         np.kron(np.eye(3)[t], np.eye(3)[t]) for t in range(3)
     )
-    assert np.allclose(pair.amplitudes, expected)
+    assert np.allclose(pair, expected)
 
 
 def test_pair_contraction_reproduces_history():
     d = dynamic_from_generator(X, 2)
     pair = synchronized_pair(d, E0)
-    amps = pair.amplitudes.reshape(2, 2)
+    amps = pair.reshape(2, 2)
     for t in range(2):
         assert np.allclose(amps[:, t], d.unitaries[t] @ E0)
 
@@ -110,18 +108,18 @@ def test_family_constant_dynamics_single_term():
 
 def test_collapse_reproduces_family_golden():
     d = dynamic_from_generator(X, 2)
-    res = clock_energy_collapse([d, d], [E0, E0], 1)
+    res = EnergyFamily([d, d], [E0, E0], 1).collapse()
     assert res.residual < 1e-12
     # contraction with exp(+i pi t) effects gives |00> - |11>, twice the family
-    assert np.allclose(res.state.amplitudes, [1, 0, 0, -1])
+    assert np.allclose(res.amplitudes, [1, 0, 0, -1])
 
 
 def test_collapse_constant_dynamics():
     ds = [constant_dynamic(2, 2), constant_dynamic(2, 2)]
     psis = [E0, np.array([0, 1], dtype=complex)]
-    res = clock_energy_collapse(ds, psis, 0)
+    res = EnergyFamily(ds, psis, 0).collapse()
     assert res.residual < 1e-12
-    overlap = np.vdot(np.kron(psis[0], psis[1]), res.state.amplitudes)
+    overlap = np.vdot(np.kron(psis[0], psis[1]), res.amplitudes)
     assert abs(overlap) > 0.1
 
 
@@ -131,23 +129,23 @@ def test_collapse_scalar_nonzero_when_family_nonzero():
         ds = [sampling.random_dynamic(3, 2, rng) for _ in range(2)]
         psis = [sampling.random_state(2, rng) for _ in range(2)]
         for chi in range(3):
-            res = clock_energy_collapse(ds, psis, chi)
-            fam = synchronized_family(ds, psis, chi)
+            fam = EnergyFamily(ds, psis, chi)
+            res = fam.collapse()
             if np.linalg.norm(fam.amplitudes) > 1e-9:
-                assert np.linalg.norm(res.state.amplitudes) > 1e-9
+                assert np.linalg.norm(res.amplitudes) > 1e-9
                 assert res.residual < 1e-8
 
 
 def test_measure_subsystem_golden():
     d = dynamic_from_generator(X, 2)
-    res = subsystem_energy_measure([d, d], [E0, E0], 1, 1, 1)
+    res = EnergyFamily([d, d], [E0, E0], 1).measure(1, 1)
     assert res.residual < 1e-9
     # remaining system carries total energy 0: proportional to P_0|0>
     assert np.allclose(
-        res.state.amplitudes / np.linalg.norm(res.state.amplitudes),
+        res.amplitudes / np.linalg.norm(res.amplitudes),
         np.array([1, 1]) / np.sqrt(2),
     )
-    assert res.amplitude == pytest.approx(1 / np.sqrt(2))
+    assert res.overlap == pytest.approx(1 / np.sqrt(2))
 
 
 def test_family_requires_shared_clock_size():
@@ -162,7 +160,15 @@ def test_family_requires_shared_clock_size():
 def test_measure_rejects_degenerate_level():
     ds = [constant_dynamic(2, 2), dynamic_from_generator(X, 2)]
     with pytest.raises(DegenerateError):
-        subsystem_energy_measure(ds, [E0, E0], 0, 0, 0)  # rank-2 ground level
+        EnergyFamily(ds, [E0, E0], 0).measure(0, 0)  # rank-2 ground level
+
+
+@pytest.mark.parametrize("j", [-1, 2])
+def test_measure_rejects_member_outside_family(j):
+    # j = -1 would contract the last factor but convolve all systems as the rest
+    ds = [dynamic_from_generator(X, 2), dynamic_from_generator(np.array([[-1]]), 2)]
+    with pytest.raises(ValueError, match="outside"):
+        EnergyFamily(ds, [E0, [1]], 0).measure(j, 1)
 
 
 def test_measure_orthogonal_eigenstate_rejected():
@@ -170,7 +176,7 @@ def test_measure_orthogonal_eigenstate_rejected():
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     # plus has no E=1 component
     with pytest.raises(OrthogonalEigenstateError):
-        subsystem_energy_measure([d, d], [plus, E0], 1, 0, 1)
+        EnergyFamily([d, d], [plus, E0], 1).measure(0, 1)
 
 
 def test_measure_random_families_conserve_energy():
@@ -188,7 +194,7 @@ def test_measure_random_families_conserve_energy():
             if int(round(float(np.trace(spec.projectors[E]).real))) != 1:
                 continue
             try:
-                res = subsystem_energy_measure(ds, psis, chi, j, E)
+                res = EnergyFamily(ds, psis, chi).measure(j, E)
             except OrthogonalEigenstateError:
                 continue
             assert res.residual < 1e-8
@@ -362,10 +368,10 @@ def test_proportionality_residual_reads_the_relative_deviation(deviation):
 def test_each_spectrum_computed_once(monkeypatch):
     calls = count_spectra(monkeypatch)
     ds = [dynamic_from_generator(X, 2) for _ in range(3)]
-    subsystem_energy_measure(ds, [E0, E0, E0], 1, 2, 1)
+    EnergyFamily(ds, [E0, E0, E0], 1).measure(2, 1)
     assert sorted(calls.values()) == [1, 1, 1]
     # later calls on the same dynamics compute no spectrum
-    clock_energy_collapse(ds, [E0, E0, E0], 1)
+    EnergyFamily(ds, [E0, E0, E0], 1).collapse()
     assert all(is_nondegenerate(d) for d in ds)
     assert conundrum_check(ds[0], make_clock(2)).passed
     assert sorted(calls.values()) == [1, 1, 1]

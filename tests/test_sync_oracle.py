@@ -95,8 +95,8 @@ def test_family_collapse_and_measure_match_the_oracle(family):
     N, j = ds[0].N, len(ds) - 1
     for chi in range(N):
         fam = EnergyFamily(ds, psis, chi)
-        assert np.max(np.abs(fam.state.amplitudes - family_by_labels(ds, psis, chi))) <= AGREE
-        collapsed = fam.collapse().state.amplitudes
+        assert np.max(np.abs(fam.amplitudes - family_by_labels(ds, psis, chi))) <= AGREE
+        collapsed = fam.collapse().amplitudes
         assert np.max(np.abs(collapsed - collapse_by_kron(ds, psis, chi))) <= AGREE
         if j == 0:
             continue
@@ -106,5 +106,5 @@ def test_family_collapse_and_measure_match_the_oracle(family):
                 res = fam.measure(j, E)
             except OrthogonalEigenstateError:
                 continue
-            rest = res.amplitude * family_by_labels(ds[:j], psis[:j], (chi - E) % N)
-            assert np.max(np.abs(res.state.amplitudes - rest)) <= AGREE
+            rest = res.overlap * family_by_labels(ds[:j], psis[:j], (chi - E) % N)
+            assert np.max(np.abs(res.amplitudes - rest)) <= AGREE
