@@ -12,9 +12,9 @@ family over one period yields P_0, the projector onto the joint fixed
 points.
 
 The spectrum is a property of the dynamic: ``d.spectrum`` computes it by
-``hamiltonian`` on first use and keeps it.  A dynamic's stack and the
-projectors ``hamiltonian`` returns are read-only, so the kept spectrum
-cannot go stale.
+``hamiltonian`` on first use and keeps it.  A dynamic keeps a read-only
+copy of the stack it is given, and the projectors ``hamiltonian`` returns
+are read-only, so the kept spectrum cannot go stale.
 """
 
 from __future__ import annotations
@@ -49,9 +49,10 @@ class UnitaryDynamic:
                 f"expected unitary stack of shape {(self.N, self.dim, self.dim)}, "
                 f"got {self.unitaries.shape}"
             )
-        view = self.unitaries.view()
-        view.flags.writeable = False  # a write would leave ``spectrum`` stale
-        object.__setattr__(self, "unitaries", view)
+        # a private copy: a write to the caller's array would leave ``spectrum`` stale
+        stack = self.unitaries.copy()
+        stack.flags.writeable = False
+        object.__setattr__(self, "unitaries", stack)
 
     @cached_property
     def spectrum(self) -> ProjectionSpectrum:

@@ -1,8 +1,9 @@
 """JSON (de)serialisation of states, matrices, dynamics, circuits and sync documents.
 
-Complex numbers travel as two-element arrays [re, im] and matrices as
-row-major nested arrays.  Doubles round-trip bit-exactly: encoding uses
-Python's shortest round-trip float repr (at most 17 significant digits).
+A complex array travels as row-major nested arrays with one [re, im] pair
+per entry: ``array_to_json`` writes it and ``array_from_json`` reads it.
+Doubles round-trip bit-exactly: encoding uses Python's shortest round-trip
+float repr (at most 17 significant digits).
 """
 
 from __future__ import annotations
@@ -20,55 +21,51 @@ from .feynman import CyclicCircuit, make_circuit
 from .linalg import DEFAULT_TOL, ZERO_NORM, Tolerance
 
 
-def complex_to_json(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def array_to_json(a) -> list:
+    """A complex array as nested lists, one level per axis, of [re, im] pairs."""
+    a = np.asarray(a, dtype=np.complex128)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
-def vector_to_json(v: np.ndarray) -> list[list[float]]:
-    return [complex_to_json(z) for z in np.asarray(v, dtype=np.complex128).reshape(-1)]
+def array_from_json(obj: Any, field: str, ndim: int) -> np.ndarray:
+    """obj as a complex array of ndim nonempty axes, each entry a finite [re, im] pair.
+
+    One ``np.array`` call reads the document and its last axis is viewed as
+    complex128, so each double is the one ``json`` read, -0.0 included.  A
+    document numpy does not read so is walked to name its first bad entry;
+    the only ones the walk passes hold finite integers beyond int64, which
+    numpy keeps as Python objects, and they are read as doubles.
+    """
+    try:
+        a = np.array(obj)
+    except ValueError:  # ragged, or nested deeper than numpy reads
+        a = np.array(None)
+    read = a.dtype.kind in "biuf" and a.shape[ndim:] == (2,) and a.size > 0
+    if not (read and np.isfinite(a).all()):
+        _require_pairs(obj, field, [0] * ndim, ndim)
+    return a.astype(np.float64, copy=False).view(np.complex128)[..., 0]
 
 
-def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    m = np.asarray(m, dtype=np.complex128)
-    return [[complex_to_json(z) for z in row] for row in m]
-
-
-def _complex_from_json(obj: Any, field: str) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(x, (int, float)) for x in obj)
-        or not all(abs(x) <= sys.float_info.max for x in obj)  # no NaN, no inf
-    ):
-        raise InputFormatError(field, f"expected finite [re, im], got {obj!r}")
-    return complex(float(obj[0]), float(obj[1]))
-
-
-def vector_from_json(obj: Any, field: str) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise InputFormatError(field, "expected a nonempty array of [re, im] pairs")
-    return np.array(
-        [_complex_from_json(z, f"{field}[{i}]") for i, z in enumerate(obj)],
-        dtype=np.complex128,
-    )
-
-
-def matrix_from_json(obj: Any, field: str) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise InputFormatError(field, "expected a nonempty array of rows")
-    rows = []
-    width = None
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or not row:
-            raise InputFormatError(f"{field}[{i}]", "expected a nonempty row")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise InputFormatError(f"{field}[{i}]", "ragged rows")
-        rows.append(
-            [_complex_from_json(z, f"{field}[{i}][{j}]") for j, z in enumerate(row)]
-        )
-    return np.array(rows, dtype=np.complex128)
+def _require_pairs(obj: Any, field: str, lengths: list[int], axes: int) -> None:
+    """Raise InputFormatError at the first entry, depth first, of obj that breaks an
+    array of ``axes`` more nonempty axes of finite [re, im] pairs.  ``lengths``
+    holds the length of every axis, set by the leftmost path (0 until then)."""
+    if axes == 0:
+        if not (
+            isinstance(obj, (list, tuple))
+            and len(obj) == 2
+            and all(isinstance(x, (int, float)) and abs(x) <= sys.float_info.max for x in obj)
+        ):  # no NaN, no inf
+            raise InputFormatError(field, f"expected finite [re, im], got {obj!r}")
+        return
+    if not isinstance(obj, (list, tuple)) or not obj:
+        raise InputFormatError(field, "expected a nonempty array")
+    depth = len(lengths) - axes
+    lengths[depth] = lengths[depth] or len(obj)
+    if len(obj) != lengths[depth]:
+        raise InputFormatError(field, f"expected length {lengths[depth]}, got {len(obj)}")
+    for i, x in enumerate(obj):
+        _require_pairs(x, f"{field}[{i}]", lengths, axes - 1)
 
 
 def is_int(val: Any) -> bool:
@@ -90,21 +87,20 @@ def _matrix_stack(doc: dict, field: str) -> np.ndarray:
     N, mats = _require_int(doc, "N"), doc.get(field)
     if not isinstance(mats, list) or len(mats) != N:
         raise InputFormatError(field, f"expected an array of {N} matrices")
-    stack = [matrix_from_json(m, f"{field}[{t}]") for t, m in enumerate(mats)]
-    dim = stack[0].shape[0]
-    for t, m in enumerate(stack):
-        if m.shape != (dim, dim):
-            raise InputFormatError(f"{field}[{t}]", f"expected {dim}x{dim}")
+    stack = array_from_json(mats, field, 3)
+    _, dim, cols = stack.shape
+    if cols != dim:
+        raise InputFormatError(f"{field}[0]", f"expected {dim}x{dim}")
     if "dim" in doc and _require_int(doc, "dim") != dim:
         raise InputFormatError("dim", f"inconsistent with {field} shape")
-    return np.stack(stack)
+    return stack
 
 
 def dynamic_to_json(d: UnitaryDynamic) -> dict:
     return {
         "N": d.N,
         "dim": d.dim,
-        "unitaries": [matrix_to_json(u) for u in d.unitaries],
+        "unitaries": array_to_json(d.unitaries),
     }
 
 
@@ -113,7 +109,7 @@ def dynamic_from_json(doc: Any, tol: Tolerance | float = DEFAULT_TOL) -> Unitary
         raise InputFormatError("$", "expected a JSON object")
     N = _require_int(doc, "N")
     if "generator" in doc:
-        gen = matrix_from_json(doc["generator"], "generator")
+        gen = array_from_json(doc["generator"], "generator", 2)
         if gen.shape[0] != gen.shape[1]:
             raise InputFormatError("generator", f"expected square, got {gen.shape}")
         if "dim" in doc and _require_int(doc, "dim") != gen.shape[0]:
@@ -134,7 +130,7 @@ def circuit_to_json(c: CyclicCircuit) -> dict:
     return {
         "N": c.N,
         "dim": c.dim,
-        "gates": [matrix_to_json(g) for g in c.gates],
+        "gates": array_to_json(c.gates),
     }
 
 
@@ -164,7 +160,7 @@ def sync_from_json(doc: Any, tol: Tolerance | float = DEFAULT_TOL):
         if psi_doc is None:
             raise InputFormatError(f"systems[{i}].psi", "missing")
         d = dynamic_from_json(sub, tol)
-        psi = vector_from_json(psi_doc, f"systems[{i}].psi")
+        psi = array_from_json(psi_doc, f"systems[{i}].psi", 1)
         if psi.shape[0] != d.dim:
             raise InputFormatError(f"systems[{i}].psi", f"expected dim {d.dim}")
         if np.linalg.norm(psi) <= ZERO_NORM:

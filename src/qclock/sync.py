@@ -143,6 +143,8 @@ class EnergyFamily:
             raise ShapeMismatchError("all family members must share the clock size N")
         if not (0 <= chi < N):
             raise ValueError(f"total energy {chi} outside [0, {N})")
+        if len(psis) != len(ds):
+            raise ShapeMismatchError(f"{len(ds)} dynamics but {len(psis)} states")
         self.ds, self.chi = tuple(ds), chi
         self.psis = tuple(linalg.as_state(psi, d.dim, "dynamic") for d, psi in zip(ds, psis))
         linalg.check_entries(N, math.prod(d.dim for d in self.ds))
@@ -178,6 +180,8 @@ class EnergyFamily:
         M, N = len(self.ds), self.ds[0].N
         if not (0 <= j < M):
             raise ValueError(f"member {j} outside [0, {M})")
+        if M < 2:
+            raise ValueError("measuring a member needs another member to remain")
         E = Eprime % N
         spec = self.ds[j].spectrum
         rank = spec.ranks.get(E, 0)
@@ -190,9 +194,6 @@ class EnergyFamily:
                 f"eigenstate at energy {Eprime} is orthogonal to the state of system {j}"
             )
         rest = [i for i in range(M) if i != j]
-        if not rest:
-            raise ValueError("family needs at least one system")
-
         factors = self.amplitudes.reshape([d.dim for d in self.ds])
         contracted = np.tensordot(phi.conj(), factors, axes=([0], [j])).reshape(-1)
         expected = _energy_convolution(

@@ -37,7 +37,7 @@ from qclock.observables import (
     uncertainty_check,
     weyl_ccr_check,
 )
-from qclock.serialize import matrix_to_json
+from qclock.serialize import array_to_json
 from qclock.sync import EnergyFamily, dynamic_descent, internal_time_observable
 
 E0 = np.array([1, 0], dtype=complex)
@@ -328,7 +328,7 @@ def test_criterion_11_cli_determinism_and_exit_codes(tmp_path):
     open_circuit = tmp_path / "open.json"
     open_circuit.write_text(
         json.dumps(
-            {"N": 2, "dim": 2, "gates": [matrix_to_json(X), matrix_to_json(np.eye(2))]}
+            {"N": 2, "dim": 2, "gates": [array_to_json(X), array_to_json(np.eye(2))]}
         )
     )
     ok_fail = run("feynman", str(open_circuit)).returncode == 1

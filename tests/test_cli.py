@@ -15,7 +15,7 @@ from qclock import cli, linalg
 from qclock.clock import make_clock
 from qclock.linalg import SELF_TEST_FLOOR
 from qclock.selftest import run_self_test
-from qclock.serialize import matrix_to_json, vector_to_json
+from qclock.serialize import array_to_json
 
 W6 = np.exp(2j * np.pi / 6)
 
@@ -32,7 +32,7 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
 @pytest.fixture()
 def circuit_xx(tmp_path: Path) -> Path:
     path = tmp_path / "circuit_xx.json"
-    path.write_text(json.dumps({"N": 2, "dim": 2, "gates": [matrix_to_json(X)] * 2}))
+    path.write_text(json.dumps({"N": 2, "dim": 2, "gates": [array_to_json(X)] * 2}))
     return path
 
 
@@ -40,7 +40,7 @@ def circuit_xx(tmp_path: Path) -> Path:
 def dyn_z6(tmp_path: Path) -> Path:
     path = tmp_path / "dyn_z6.json"
     gen = np.diag([1, W6**2, W6**4])
-    path.write_text(json.dumps({"N": 6, "dim": 3, "generator": matrix_to_json(gen)}))
+    path.write_text(json.dumps({"N": 6, "dim": 3, "generator": array_to_json(gen)}))
     return path
 
 
@@ -73,7 +73,7 @@ def test_internal_time_golden(dyn_z6):
 def test_internal_time_negative_case(tmp_path):
     path = tmp_path / "dyn.json"
     path.write_text(
-        json.dumps({"N": 4, "dim": 2, "generator": matrix_to_json(np.diag([1, 1j]))})
+        json.dumps({"N": 4, "dim": 2, "generator": array_to_json(np.diag([1, 1j]))})
     )
     proc = run_cli("internal-time", str(path))
     assert proc.returncode == 1
@@ -84,7 +84,7 @@ def test_internal_time_negative_case(tmp_path):
 
 def test_dynamic_verification(tmp_path):
     path = tmp_path / "dyn.json"
-    path.write_text(json.dumps({"N": 2, "dim": 2, "generator": matrix_to_json(X)}))
+    path.write_text(json.dumps({"N": 2, "dim": 2, "generator": array_to_json(X)}))
     proc = run_cli("dynamic", str(path))
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
@@ -94,7 +94,7 @@ def test_dynamic_verification(tmp_path):
 
 def test_sync_conservation(tmp_path):
     path = tmp_path / "sync.json"
-    system = {"generator": matrix_to_json(X), "psi": vector_to_json(np.array([1, 0]))}
+    system = {"generator": array_to_json(X), "psi": array_to_json(np.array([1, 0]))}
     path.write_text(
         json.dumps(
             {
@@ -114,7 +114,7 @@ def test_exit_code_check_failure(tmp_path):
     path = tmp_path / "open.json"
     path.write_text(
         json.dumps(
-            {"N": 2, "dim": 2, "gates": [matrix_to_json(X), matrix_to_json(np.eye(2))]}
+            {"N": 2, "dim": 2, "gates": [array_to_json(X), array_to_json(np.eye(2))]}
         )
     )
     proc = run_cli("feynman", str(path))
@@ -162,7 +162,7 @@ def test_self_test_deterministic_per_seed():
 
 def test_max_dim_cap_respected(tmp_path):
     path = tmp_path / "dyn.json"
-    path.write_text(json.dumps({"N": 3, "dim": 2, "generator": matrix_to_json(np.eye(2))}))
+    path.write_text(json.dumps({"N": 3, "dim": 2, "generator": array_to_json(np.eye(2))}))
     proc = run_cli("--max-dim", "4", "dynamic", str(path))
     assert proc.returncode == 2
 
@@ -226,7 +226,7 @@ def test_nan_tol_rejected():
 
 
 def _sync_file(tmp_path: Path, psis, measure=(), chi: int = 0) -> Path:
-    systems = [{"generator": matrix_to_json(X), "psi": vector_to_json(p)} for p in psis]
+    systems = [{"generator": array_to_json(X), "psi": array_to_json(p)} for p in psis]
     doc = {"N": 2, "chi": chi, "systems": systems, "measure": list(measure)}
     path = tmp_path / "sync.json"
     path.write_text(json.dumps(doc))
@@ -267,8 +267,8 @@ def test_sync_bad_integer_field_is_input_error(tmp_path, change, field):
 
 def test_sync_system_that_is_not_a_dynamic_fails(tmp_path):
     # U_0 = X, U_1 = I: the resummed P_E are not projectors and sum to X, not I
-    stack = {"unitaries": [matrix_to_json(X), matrix_to_json(np.eye(2))]}
-    systems = [{**stack, "psi": vector_to_json(np.array([1, 0]))}] * 2
+    stack = {"unitaries": [array_to_json(X), array_to_json(np.eye(2))]}
+    systems = [{**stack, "psi": array_to_json(np.array([1, 0]))}] * 2
     code, out, err = run_main("sync", _doc_file(tmp_path, {"N": 2, "systems": systems}))
     assert code == 1, err
     report = json.loads(out)
@@ -300,7 +300,7 @@ def _periodic_generator_file(tmp_path: Path, N: int, dim: int) -> Path:
     v, _ = np.linalg.qr(z)
     gen = (v * np.exp(2j * np.pi * rng.integers(0, N, size=dim) / N)) @ v.conj().T
     path = tmp_path / "dyn.json"
-    path.write_text(json.dumps({"N": N, "dim": dim, "generator": matrix_to_json(gen)}))
+    path.write_text(json.dumps({"N": N, "dim": dim, "generator": array_to_json(gen)}))
     return path
 
 
@@ -357,25 +357,25 @@ def _doc_file(directory: Path, doc) -> str:
     return str(path)
 
 
-Z6_DOC = {"N": 6, "dim": 3, "generator": matrix_to_json(np.diag([1, W6**2, W6**4]))}
+Z6_DOC = {"N": 6, "dim": 3, "generator": array_to_json(np.diag([1, W6**2, W6**4]))}
 SYNC_DOC = {
     "N": 2,
     "chi": 1,
-    "systems": [{"generator": matrix_to_json(X), "psi": vector_to_json(np.array([1, 0]))}] * 2,
+    "systems": [{"generator": array_to_json(X), "psi": array_to_json(np.array([1, 0]))}] * 2,
     "measure": [{"system": 1, "energy": 1}],
 }
-NOT_A_DYNAMIC = {"N": 2, "unitaries": [matrix_to_json(np.eye(2)), matrix_to_json(np.diag([1, 1j]))]}
-OPEN_CIRCUIT = {"N": 2, "gates": [matrix_to_json(X), matrix_to_json(np.eye(2))]}
-NON_SUBGROUP = {"N": 4, "generator": matrix_to_json(np.diag([1, 1j]))}
+NOT_A_DYNAMIC = {"N": 2, "unitaries": [array_to_json(np.eye(2)), array_to_json(np.diag([1, 1j]))]}
+OPEN_CIRCUIT = {"N": 2, "gates": [array_to_json(X), array_to_json(np.eye(2))]}
+NON_SUBGROUP = {"N": 4, "generator": array_to_json(np.diag([1, 1j]))}
 
 # The structure laws and the self-test suites hold exactly on valid input, so
 # the failing runs of axioms and --self-test are bad input (exit 2, no report).
 REPORT_CASES = [
     ("axioms", ["axioms", "4"], None, 0),
     ("axioms", ["axioms", "0"], None, 2),
-    ("dynamic", ["dynamic"], {"N": 2, "generator": matrix_to_json(X)}, 0),
+    ("dynamic", ["dynamic"], {"N": 2, "generator": array_to_json(X)}, 0),
     ("dynamic", ["dynamic"], NOT_A_DYNAMIC, 1),
-    ("feynman", ["feynman"], {"N": 2, "gates": [matrix_to_json(X)] * 2}, 0),
+    ("feynman", ["feynman"], {"N": 2, "gates": [array_to_json(X)] * 2}, 0),
     ("feynman", ["feynman"], OPEN_CIRCUIT, 1),
     ("sync", ["sync"], SYNC_DOC, 0),
     ("sync", ["--tol", "1e-18", "sync"], SYNC_DOC, 1),
@@ -404,7 +404,7 @@ def test_every_report_has_the_common_layout(tmp_path, command, args, doc, code):
 
 def test_dynamic_failing_the_laws_is_a_failed_check(tmp_path):
     # U_0 = X is not the identity and sum_E P_E = U_0 is not either: a verdict, not bad input
-    doc = {"N": 2, "unitaries": [matrix_to_json(X), matrix_to_json(np.eye(2))]}
+    doc = {"N": 2, "unitaries": [array_to_json(X), array_to_json(np.eye(2))]}
     code, out, err = run_main("dynamic", _doc_file(tmp_path, doc))
     assert code == 1, err
     report = json.loads(out)
@@ -433,7 +433,7 @@ def test_sync_computes_each_spectrum_once(tmp_path, monkeypatch):
     assert sorted(calls.values()) == [1, 1, 1]
 
     calls.clear()
-    path.write_text(json.dumps({"N": 2, "generator": matrix_to_json(X)}))
+    path.write_text(json.dumps({"N": 2, "generator": array_to_json(X)}))
     code, _, err = run_main("dynamic", str(path))
     assert code == 0, err
     assert list(calls.values()) == [1]
@@ -449,7 +449,7 @@ def test_sync_at_ten_systems(tmp_path):
         k = rng.choice(N, size=2, replace=False)  # the measured level has rank 1
         gen = (v * np.exp(2j * np.pi * k / N)) @ v.conj().T
         psi = v[:, 0] + v[:, 1]
-        systems.append({"generator": matrix_to_json(gen), "psi": vector_to_json(psi)})
+        systems.append({"generator": array_to_json(gen), "psi": array_to_json(psi)})
         chi = (chi + int(k[0])) % N
     measure = [{"system": M - 1, "energy": int(k[0])}]
     doc = {"N": N, "chi": chi, "systems": systems, "measure": measure}
@@ -467,7 +467,7 @@ def test_library_self_test_matches_the_cli_self_test():
 
 
 def test_internal_time_permutation_residual_is_judged_at_tol(tmp_path):
-    path = _doc_file(tmp_path, {"N": 3, "generator": matrix_to_json(shift_matrix(3))})
+    path = _doc_file(tmp_path, {"N": 3, "generator": array_to_json(shift_matrix(3))})
     code, out, _ = run_main("--tol", "1e-18", "internal-time", path)
     assert code == 1
     report = json.loads(out)
@@ -494,10 +494,10 @@ DIM2 = [np.eye(2), X, np.diag([1, 1j]), np.diag([1, -1])]
 
 def _json_system(pair) -> dict:
     gen, psi = pair
-    return {"generator": matrix_to_json(gen), "psi": vector_to_json(np.array(psi))}
+    return {"generator": array_to_json(gen), "psi": array_to_json(np.array(psi))}
 
 
-generator = st.sampled_from([g for g, _ in SYSTEMS]).map(matrix_to_json)
+generator = st.sampled_from([g for g, _ in SYSTEMS]).map(array_to_json)
 small_n = st.integers(1, 6)
 finite = st.floats(allow_nan=False, allow_infinity=False)
 free_vector = st.lists(st.tuples(finite, finite).map(list), min_size=2, max_size=2)
@@ -506,7 +506,7 @@ free_matrix = st.lists(free_vector, min_size=2, max_size=2)
 
 def _stack(N: int):
     """N matrices of shape 2x2: unitaries, or any finite entries up to 1e308."""
-    matrix = st.sampled_from(DIM2).map(matrix_to_json) | free_matrix
+    matrix = st.sampled_from(DIM2).map(array_to_json) | free_matrix
     return st.lists(matrix, min_size=N, max_size=N)
 
 
@@ -621,7 +621,7 @@ def measured_sync(draw):
         levels.append((a, b))
         psi = np.array([draw(amplitude), draw(amplitude)])
         gen = np.diag(np.exp(2j * np.pi * np.array([a, b]) / N))
-        systems.append({"generator": matrix_to_json(gen), "psi": vector_to_json(psi)})
+        systems.append({"generator": array_to_json(gen), "psi": array_to_json(psi)})
     chi = (draw(st.sampled_from(levels[0])) + draw(st.sampled_from(levels[1]))) % N
     measure = []
     for _ in range(draw(st.integers(1, 2))):

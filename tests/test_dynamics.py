@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -92,6 +95,16 @@ def test_dynamic_stack_and_its_spectrum_are_read_only():
         d.spectrum.projectors[0, 0, 0] = 0.0
     assert d.spectrum is d.spectrum
     assert np.array_equal(d.spectrum.projectors, hamiltonian(d).projectors)
+
+
+def test_dynamic_keeps_its_own_copy_of_the_stack():
+    # a write to the caller's array must not reach the stack under the kept spectrum
+    a = np.stack([np.eye(2, dtype=complex), X])
+    d = UnitaryDynamic(N=2, dim=2, unitaries=a)
+    assert d.spectrum.support == (0, 1)
+    a[1] = np.eye(2)
+    assert np.array_equal(d.unitaries[1], X)
+    assert d.spectrum.support == hamiltonian(d).support
 
 
 def test_spectral_projectors_of_x_dynamic():
@@ -214,3 +227,35 @@ def test_shift_and_phase_generators_commutation_sanity():
     assert np.array_equal(s @ np.array([1, 0, 0]), np.array([0, 1, 0]))
     m = phase_matrix(3)
     assert m[1, 1] == pytest.approx(np.exp(2j * np.pi / 3))
+
+
+FOURIER_PAIR = {"fourier_transform", "inverse_fourier_transform"}
+
+
+def _fft_references(node: ast.AST, function: str | None = None):
+    """(line, enclosing function) of each reference to numpy's fft module under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    names = []
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        names = [f"{node.value.id}.{node.attr}"]
+    elif isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+    if any(n in ("np.fft", "numpy.fft") or n.startswith("numpy.fft.") for n in names):
+        yield node.lineno, function
+    for child in ast.iter_child_nodes(node):
+        yield from _fft_references(child, function)
+
+
+def test_only_the_fourier_pair_calls_np_fft():
+    # the pair holds the one 1/N convention of the Z/N Fourier transform
+    src = Path(__file__).resolve().parents[1] / "src" / "qclock"
+    refs = [
+        (path.name, line, function)
+        for path in sorted(src.glob("*.py"))
+        for line, function in _fft_references(ast.parse(path.read_text()))
+    ]
+    assert [r for r in refs if r[2] not in FOURIER_PAIR] == []
+    assert {r[2] for r in refs} == FOURIER_PAIR

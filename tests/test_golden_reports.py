@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from qclock import cli
-from qclock.serialize import matrix_to_json, vector_to_json
+from qclock.serialize import array_to_json
 
 TABLE = Path(__file__).with_name("golden_reports.json")
 
@@ -52,7 +52,7 @@ def _powers(gen: np.ndarray, N: int) -> list:
     stack = [np.eye(gen.shape[0], dtype=complex)]
     for _ in range(N - 1):
         stack.append(gen @ stack[-1])
-    return [matrix_to_json(u) for u in stack]
+    return [array_to_json(u) for u in stack]
 
 
 def _dynamic_cases() -> list:
@@ -60,7 +60,7 @@ def _dynamic_cases() -> list:
     cases = []
     for N, dim in [(2, 1), (3, 2), (5, 3), (8, 4), (12, 5), (16, 3)]:
         gen = _generator(N, rng.integers(0, N, size=dim), rng)
-        doc = {"N": N, "dim": dim, "generator": matrix_to_json(gen)}
+        doc = {"N": N, "dim": dim, "generator": array_to_json(gen)}
         cases.append((f"dynamic-gen-{N}x{dim}", [], doc))
     for N, dim in [(4, 2), (6, 3)]:
         gen = _generator(N, rng.integers(0, N, size=dim), rng)
@@ -71,23 +71,23 @@ def _dynamic_cases() -> list:
         (
             "dynamic-tight-tol-generator",
             ["--tol", "1e-18"],
-            {"N": 6, "generator": matrix_to_json(gen)},
+            {"N": 6, "generator": array_to_json(gen)},
         ),
-        ("dynamic-x-i-stack", [], {"N": 2, "unitaries": [matrix_to_json(X), matrix_to_json(I2)]}),
+        ("dynamic-x-i-stack", [], {"N": 2, "unitaries": [array_to_json(X), array_to_json(I2)]}),
         (
             "dynamic-not-a-dynamic",
             [],
-            {"N": 2, "unitaries": [matrix_to_json(I2), matrix_to_json(np.diag([1, 1j]))]},
+            {"N": 2, "unitaries": [array_to_json(I2), array_to_json(np.diag([1, 1j]))]},
         ),
-        ("dynamic-not-unitary", [], {"N": 2, "generator": matrix_to_json([[1, 1], [0, 1]])}),
-        ("dynamic-not-periodic", [], {"N": 3, "generator": matrix_to_json(X)}),
-        ("dynamic-not-square", [], {"N": 2, "generator": matrix_to_json([[1, 0]])}),
+        ("dynamic-not-unitary", [], {"N": 2, "generator": array_to_json([[1, 1], [0, 1]])}),
+        ("dynamic-not-periodic", [], {"N": 3, "generator": array_to_json(X)}),
+        ("dynamic-not-square", [], {"N": 2, "generator": array_to_json([[1, 0]])}),
         (
             "dynamic-ragged-stack",
             [],
-            {"N": 2, "unitaries": [matrix_to_json(I2), matrix_to_json(np.eye(3))]},
+            {"N": 2, "unitaries": [array_to_json(I2), array_to_json(np.eye(3))]},
         ),
-        ("dynamic-dim-mismatch", [], {"N": 2, "dim": 3, "generator": matrix_to_json(X)}),
+        ("dynamic-dim-mismatch", [], {"N": 2, "dim": 3, "generator": array_to_json(X)}),
     ]
     return cases
 
@@ -98,14 +98,14 @@ def _feynman_cases() -> list:
     for n, dim in [(1, 1), (1, 2), (2, 2), (3, 3), (4, 2)]:
         gates = [_haar(dim, rng) for _ in range(n)]
         gates += [g.conj().T for g in reversed(gates)]
-        doc = {"N": 2 * n, "gates": [matrix_to_json(g) for g in gates]}
+        doc = {"N": 2 * n, "gates": [array_to_json(g) for g in gates]}
         cases.append((f"feynman-cyclified-{n}x{dim}", [], doc))
     cases += [
-        ("feynman-xx", [], {"N": 2, "dim": 2, "gates": [matrix_to_json(X)] * 2}),
-        ("feynman-open", [], {"N": 2, "gates": [matrix_to_json(X), matrix_to_json(I2)]}),
-        ("feynman-not-unitary", [], {"N": 1, "gates": [matrix_to_json([[1, 1], [0, 1]])]}),
-        ("feynman-shapes", [], {"N": 2, "gates": [matrix_to_json(X), matrix_to_json(np.eye(3))]}),
-        ("feynman-gate-count", [], {"N": 3, "gates": [matrix_to_json(X)] * 2}),
+        ("feynman-xx", [], {"N": 2, "dim": 2, "gates": [array_to_json(X)] * 2}),
+        ("feynman-open", [], {"N": 2, "gates": [array_to_json(X), array_to_json(I2)]}),
+        ("feynman-not-unitary", [], {"N": 1, "gates": [array_to_json([[1, 1], [0, 1]])]}),
+        ("feynman-shapes", [], {"N": 2, "gates": [array_to_json(X), array_to_json(np.eye(3))]}),
+        ("feynman-gate-count", [], {"N": 3, "gates": [array_to_json(X)] * 2}),
     ]
     return cases
 
@@ -115,7 +115,7 @@ def _internal_time_cases() -> list:
     w6 = np.exp(2j * np.pi / 6)
 
     def doc(N, gen):
-        return {"N": N, "generator": matrix_to_json(gen)}
+        return {"N": N, "generator": array_to_json(gen)}
 
     return [
         ("internal-time-z6", [], {**doc(6, np.diag([1, w6**2, w6**4])), "dim": 3}),
@@ -133,7 +133,7 @@ def _sync_doc(N: int, M: int, rng: np.random.Generator, dim: int = 2) -> dict:
     for _ in range(M):
         levels = rng.choice(N, size=dim, replace=False)
         gen = _generator(N, levels, rng)
-        systems.append({"generator": matrix_to_json(gen), "psi": vector_to_json(_state(dim, rng))})
+        systems.append({"generator": array_to_json(gen), "psi": array_to_json(_state(dim, rng))})
         picked.append(int(levels[0]))
         chi = (chi + int(levels[0])) % N
     measure = [{"system": j, "energy": E} for j, E in enumerate(picked)]
@@ -146,12 +146,12 @@ def _sync_cases() -> list:
         (f"sync-{N}x{M}", [], _sync_doc(N, M, rng))
         for N, M in [(2, 2), (4, 2), (4, 3), (6, 3), (5, 2)]
     ]
-    x_plus = {"generator": matrix_to_json(X), "psi": vector_to_json(np.array([1, 0]))}
+    x_plus = {"generator": array_to_json(X), "psi": array_to_json(np.array([1, 0]))}
     simple = {"N": 2, "chi": 1, "systems": [x_plus] * 2, "measure": [{"system": 1, "energy": 1}]}
-    stack = {**x_plus, "unitaries": [matrix_to_json(X), matrix_to_json(I2)]}
+    stack = {**x_plus, "unitaries": [array_to_json(X), array_to_json(I2)]}
     del stack["generator"]
-    plus = {"generator": matrix_to_json(X), "psi": vector_to_json(np.array([1, 1]) / np.sqrt(2))}
-    zero = {"generator": matrix_to_json(X), "psi": vector_to_json(np.zeros(2))}
+    plus = {"generator": array_to_json(X), "psi": array_to_json(np.array([1, 1]) / np.sqrt(2))}
+    zero = {"generator": array_to_json(X), "psi": array_to_json(np.zeros(2))}
     cases += [
         ("sync-simple", [], simple),
         ("sync-tight-tol", ["--tol", "1e-18"], simple),
@@ -163,7 +163,7 @@ def _sync_cases() -> list:
             [],
             {"N": 2, "systems": [x_plus], "measure": [{"system": 0, "energy": 0}]},
         ),
-        ("sync-psi-dim", [], {"N": 2, "systems": [{**x_plus, "psi": vector_to_json(np.ones(3))}]}),
+        ("sync-psi-dim", [], {"N": 2, "systems": [{**x_plus, "psi": array_to_json(np.ones(3))}]}),
     ]
     return cases
 

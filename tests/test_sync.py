@@ -19,6 +19,7 @@ from qclock.errors import (
     DegenerateError,
     NotASubgroupError,
     OrthogonalEigenstateError,
+    ShapeMismatchError,
 )
 from qclock.histories import schrodinger_solve
 from qclock.reports import Check
@@ -393,3 +394,18 @@ def test_descent_computes_each_spectrum_once(monkeypatch):
     dynamic_descent(dg, dh, 0)
     schrodinger_solve(dh, [1])
     assert sorted(calls.values()) == [1, 1]
+
+
+@pytest.mark.parametrize("states", [2, 4])
+def test_family_rejects_a_state_count_unlike_its_dynamic_count(states):
+    # zip would drop the unpaired systems or states without a word
+    ds = [dynamic_from_generator(X, 2)] * 3
+    with pytest.raises(ShapeMismatchError):
+        EnergyFamily(ds, [E0] * states, 0)
+
+
+def test_measure_one_member_family_is_refused_before_any_work():
+    # the level is rank 2, so the refusal must come before the rank check
+    family = EnergyFamily([constant_dynamic(2, 2)], [E0], 0)
+    with pytest.raises(ValueError, match="another member"):
+        family.measure(0, 0)
