@@ -34,19 +34,23 @@ EXIT_INPUT_ERROR = 2
 
 
 def _load_json(path: str):
-    p = Path(path)
-    if not p.is_file():
-        raise InputFormatError(path, "file not found")
     try:
-        return json.loads(p.read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise InputFormatError(path, f"invalid JSON ({exc.msg} at line {exc.lineno})")
+    except OSError as exc:
+        raise InputFormatError(path, f"cannot read the file ({exc.strerror})")
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too deep, or too many digits
+        raise InputFormatError(path, f"unreadable JSON ({exc})")
 
 
 def _emit(doc: dict, out: str | None) -> None:
     text = serialize.canonical_dumps(doc)
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise InputFormatError("--out", f"cannot write {out} ({exc.strerror})")
     else:
         sys.stdout.write(text)
 
@@ -111,6 +115,25 @@ def _cmd_internal_time(args, tol: Tolerance) -> Report:
     return internal_time_check(d, tol)
 
 
+def _cmd_self_test(args, tol: Tolerance) -> Report:
+    report = run_self_test(seed=args.seed, tol=tol)
+    return replace(report, facts={"seed": args.seed})
+
+
+#: each command's help text, its one argument and that argument's type, and its handler
+COMMANDS = {
+    "axioms": ("verify the structure laws on C^N", "N", int, _cmd_axioms),
+    "dynamic": ("validate a dynamic file and its spectrum", "file", str, _cmd_dynamic),
+    "feynman": (
+        "check history states against the composite ground space", "file", str, _cmd_feynman
+    ),
+    "sync": ("check energy conservation for a synchronised family", "file", str, _cmd_sync),
+    "internal-time": (
+        "derive the internal clock of a dynamic file", "file", str, _cmd_internal_time
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qclock",
@@ -131,60 +154,36 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the seeded randomised property suites",
     )
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("axioms", help="verify the structure laws on C^N")
-    p.add_argument("N", type=int)
-
-    for name, helptext in (
-        ("dynamic", "validate a dynamic file and its spectrum"),
-        ("feynman", "check history states against the composite ground space"),
-        ("sync", "check energy conservation for a synchronised family"),
-        ("internal-time", "derive the internal clock of a dynamic file"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("file", type=str)
-
+    for name, (helptext, arg, kind, _) in COMMANDS.items():
+        sub.add_parser(name, help=helptext).add_argument(arg, type=kind)
     return parser
 
 
-_DISPATCH = {
-    "axioms": _cmd_axioms,
-    "dynamic": _cmd_dynamic,
-    "feynman": _cmd_feynman,
-    "sync": _cmd_sync,
-    "internal-time": _cmd_internal_time,
-}
+_PARSER = build_parser()  # built once per process; parse_args keeps no state between calls
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
+    args = _PARSER.parse_args(argv)
     if not args.self_test and args.command is None:
-        parser.print_usage(sys.stderr)
+        _PARSER.print_usage(sys.stderr)
         return EXIT_INPUT_ERROR
-    try:
-        tol = Tolerance(args.tol)
-    except ValueError:
-        print("error: --tol must lie in (0, 1)", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    if args.max_dim < 1:
-        print("error: --max-dim must be a positive integer", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    if args.seed < 0:
-        print("error: --seed must be a non-negative integer", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    command = "self-test" if args.self_test else args.command
+    run = _cmd_self_test if args.self_test else COMMANDS[command][-1]
 
     previous_cap = linalg.max_entries()
-    linalg.set_max_entries(args.max_dim)  # for this invocation only
     try:
+        try:
+            tol = Tolerance(args.tol)
+        except ValueError:
+            raise InputFormatError("--tol", "must lie in (0, 1)")
+        if args.max_dim < 1:
+            raise InputFormatError("--max-dim", "must be a positive integer")
+        if args.seed < 0:
+            raise InputFormatError("--seed", "must be a non-negative integer")
+        linalg.set_max_entries(args.max_dim)  # for this invocation only
         # an overflow would put inf or nan into a report, which JSON cannot hold
         with np.errstate(over="raise", invalid="raise"):
-            if args.self_test:
-                report = run_self_test(seed=args.seed, tol=tol)
-                command, report = "self-test", replace(report, facts={"seed": args.seed})
-            else:
-                command, report = args.command, _DISPATCH[args.command](args, tol)
+            report = run(args, tol)
             if not np.isfinite([c.max_error for c in report.checks]).all():
                 # a matrix product overflows inside BLAS without raising
                 raise FloatingPointError("a residual is not finite")

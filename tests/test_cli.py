@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -652,3 +653,72 @@ def test_fuzzed_sync_measure_fields_never_raise(tmp_path_factory, doc):
         assert sum(name.startswith("energy_conservation_measure_") for name in names) == len(
             doc["measure"]
         )
+
+
+# -- the I/O layer and the shared parser
+
+# (an --out path under the test directory, or the bytes of a dynamic file)
+IO_CASES = {
+    "out-missing-directory": ("no/r.json", None),
+    "out-is-a-directory": (".", None),
+    "not-utf8": (None, b"\xff\xfe"),
+    "nested-array": (None, b"[" * 100000 + b"]" * 100000),
+    "nested-unitaries": (None, b'{"N": 2, "unitaries": %s}' % (b"[" * 5000 + b"]" * 5000)),
+    "digit-limit": (None, b'{"N": %s, "dim": 1}' % (b"1" * 5000)),
+}
+
+
+@pytest.mark.parametrize("case", IO_CASES)
+def test_io_failure_is_input_error(tmp_path, case):
+    out, data = IO_CASES[case]
+    if out is not None:
+        argv, field = ["--out", str(tmp_path / out), "axioms", "3"], "--out"
+    else:
+        field = str(tmp_path / "input.json")
+        Path(field).write_bytes(data)
+        argv = ["dynamic", field]
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("error:") and field in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_shared_parser_reports_match_fresh_interpreters(tmp_path):
+    dynamic = _doc_file(tmp_path, Z6_DOC)
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(json.dumps({"N": 2, "dim": 2, "gates": [array_to_json(X)] * 2}))
+    sequence = [
+        ["--tol", "1e-3", "axioms", "3"],
+        ["axioms", "3"],
+        ["--seed", "2", "--self-test"],
+        ["--self-test"],
+        ["--max-dim", "10", "axioms", "11"],
+        ["dynamic", dynamic],
+        ["--out", "REPORT", "feynman", str(circuit)],
+    ]
+    cap = linalg.max_entries()
+    for argv in sequence:
+        here, fresh = tmp_path / "here.json", tmp_path / "fresh.json"
+        code, out, err = run_main(*[str(here) if a == "REPORT" else a for a in argv])
+        assert linalg.max_entries() == cap, argv
+        proc = run_cli(*[str(fresh) if a == "REPORT" else a for a in argv])
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        if "REPORT" in argv:
+            assert here.read_bytes() == fresh.read_bytes()
+
+
+def test_main_does_not_build_a_parser(monkeypatch):
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    code, out, _ = run_main("axioms", "2")
+    assert code == 0 and json.loads(out)["N"] == 2
+
+
+def test_help_names_exactly_the_command_table():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        cli.main(["--help"])
+    listed = re.search(r"\{([^}]*)\}", out.getvalue()).group(1).split(",")
+    assert listed == list(cli.COMMANDS)

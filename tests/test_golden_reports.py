@@ -8,7 +8,9 @@ purpose regenerates only the rows it names:
 
     PYTHONPATH=src python tests/test_golden_reports.py CASE_ID [CASE_ID ...]
 
-and with no CASE_ID writes every row.
+and with no CASE_ID writes every row.  It prints each row's old and new exit
+code, and if any exit code would change it exits 1 and writes nothing: such a
+row is changed by hand.
 """
 
 import contextlib
@@ -223,15 +225,46 @@ def test_every_dynamic_check_fails_on_some_fixture(tmp_path):
     assert names and names <= failed, sorted(names - failed)
 
 
-if __name__ == "__main__":
-    names = set(sys.argv[1:])
+def regenerate(names: set) -> int:
+    """Rewrite the named rows (every row when none is named) and print each row's old and
+    new exit code; when an exit code would change, write nothing and return 1."""
     table = json.loads(TABLE.read_text()) if TABLE.exists() else {}
     unknown = names - {cid for cid, _, _ in CASES}
     if unknown:
-        sys.exit(f"unknown case ids: {sorted(unknown)}")
+        print(f"unknown case ids: {sorted(unknown)}", file=sys.stderr)
+        return 1
+    flipped = []
     with tempfile.TemporaryDirectory() as tmp:
         for cid, argv, doc in CASES:
-            if not names or cid in names:
-                code, digest = run_case(argv, doc, Path(tmp))
-                table[cid] = {"exit": code, "sha256": digest}
+            if names and cid not in names:
+                continue
+            code, digest = run_case(argv, doc, Path(tmp))
+            old = table.get(cid, {"exit": None, "sha256": None})
+            same = "unchanged" if old["sha256"] == digest else "changed"
+            print(f"{cid}: exit {old['exit']} -> {code}, report {same}")
+            if old["exit"] not in (None, code):
+                flipped.append(cid)
+            table[cid] = {"exit": code, "sha256": digest}
+    if flipped:
+        print(f"exit codes would change for {flipped}: nothing written", file=sys.stderr)
+        return 1
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+def test_regeneration_refuses_a_changed_exit_code(tmp_path, monkeypatch, capsys):
+    table = json.loads(TABLE.read_text())
+    monkeypatch.setattr(sys.modules[__name__], "TABLE", tmp_path / "golden.json")
+    stale = {**table, "axioms-2": {"exit": 1, "sha256": "0"}}
+    (tmp_path / "golden.json").write_text(json.dumps(stale))
+    assert regenerate({"axioms-2"}) == 1
+    assert json.loads((tmp_path / "golden.json").read_text()) == stale
+    assert "axioms-2: exit 1 -> 0, report changed" in capsys.readouterr().out
+    stale["axioms-2"] = {"exit": 0, "sha256": "0"}
+    (tmp_path / "golden.json").write_text(json.dumps(stale))
+    assert regenerate({"axioms-2"}) == 0
+    assert json.loads((tmp_path / "golden.json").read_text()) == table
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate(set(sys.argv[1:])))
