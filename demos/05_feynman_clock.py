@@ -37,7 +37,8 @@ c6 = cyclify(gates)
 rep = feynman_check(c6)
 facts = rep.facts
 print(f"  ground dimension {facts['ground_dim']} (system dimension {facts['expected_dim']})")
-print(f"  span residual {facts['max_residual']:.2e}, pass={rep.passed}")
+cycle = rep.check("cycle_product_is_identity").max_error
+print(f"  cycle product off the identity by {cycle:.2e}, pass={rep.passed}")
 
 q = ground_space(composite_dynamic(c6))  # orthonormal columns
 psi = rng.normal(size=4) + 1j * rng.normal(size=4)

@@ -13,6 +13,7 @@ from qclock import (
     EnergyFamily,
     conundrum_check,
     dynamic_from_generator,
+    history_from_state,
     make_clock,
     synchronized_pair,
 )
@@ -30,10 +31,12 @@ print("\ntwo systems, one clock, total energy fixed at 1:")
 fam = EnergyFamily([d, d], [e0, e0], 1)
 print(f"  family state: {np.round(fam.amplitudes.real, 3)}   (half of |00> - |11>)")
 
-res = fam.collapse()
-print(
-    f"  projecting the clock onto level -1 reproduces it: residual {res.residual:.2e}"
-)
+# the same state read off the clock: contract the clock leg of
+# sum_t U_t e0 (x) U_t e0 (x) |t> with the energy-(-1) functional (-1)^t
+traj = history_from_state(d, e0).states  # traj[t] = U_t e0
+joint = np.einsum("ti,tj->tij", traj, traj).reshape(2, -1)
+collapsed = np.array([1, -1]) @ joint
+print(f"  projecting the clock onto level -1 gives {np.round(collapsed.real, 3)}, twice it")
 
 out = fam.measure(1, 1)
 state = out.amplitudes / np.linalg.norm(out.amplitudes)

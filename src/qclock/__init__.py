@@ -57,7 +57,6 @@ from .feynman import (
     ground_space,
     history_state,
     make_circuit,
-    stationarity_check,
 )
 from .histories import (
     History,
@@ -81,7 +80,6 @@ from .observables import (
 )
 from .reports import Check, Report
 from .sync import (
-    CollapseResult,
     EnergyFamily,
     InternalClockDescriptor,
     MeasureResult,

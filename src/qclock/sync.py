@@ -38,12 +38,6 @@ from .reports import Check, Report
 
 
 @dataclass(frozen=True)
-class CollapseResult:
-    amplitudes: np.ndarray
-    residual: float
-
-
-@dataclass(frozen=True)
 class MeasureResult:
     amplitudes: np.ndarray
     overlap: complex
@@ -131,8 +125,8 @@ class EnergyFamily:
     Each system's spectrum is read from its dynamic.  ``amplitudes`` holds the
     family, sum over (E_1..E_M) with sum E_j = chi (mod N) of (x)_j P_{E_j} psi_j,
     built by cyclic convolution over energy at O(M N^2 D) for D the product
-    of the system dims; ``collapse`` builds it again as a sum over time and
-    ``measure`` contracts one factor of it.  No array beyond N x D is built.
+    of the system dims; ``measure`` contracts one factor of it.  No array
+    beyond N x D is built.
     """
 
     def __init__(self, ds: Sequence[UnitaryDynamic], psis: Sequence, chi: int):
@@ -151,23 +145,6 @@ class EnergyFamily:
         # comps[j][E] = P_E psi_j, of shape (N, dim_j)
         self.comps = tuple(_components(d.spectrum, psi) for d, psi in zip(self.ds, self.psis))
         self.amplitudes = _energy_convolution(self.comps, self.ds)[chi]
-
-    def collapse(self) -> CollapseResult:
-        """Project the clock of sum_t (x)_j (U_t^(j) psi_j) (x) |t> onto level -chi.
-
-        The clock leg is contracted with the energy functional of level -chi
-        (values chi_{-chi}(t)), from the per-system trajectories at O(N M D);
-        the result must be proportional, with nonzero factor, to ``amplitudes``.
-        The residual of that proportionality is returned.
-        """
-        N = self.ds[0].N
-        joint = np.ones((N, 1), dtype=np.complex128)  # joint[t] = (x)_j U_t psi_j
-        for d, psi in zip(self.ds, self.psis):
-            trajectory = history_from_state(d, psi).states
-            joint = (joint[:, :, None] * trajectory[:, None, :]).reshape(N, -1)
-        effect = np.exp(2j * np.pi * (-self.chi % N) * np.arange(N) / N)  # chi_{-chi}(t)
-        collapsed = effect @ joint
-        return CollapseResult(collapsed, _proportionality_residual(collapsed, self.amplitudes))
 
     def measure(self, j: int, Eprime: int) -> MeasureResult:
         """Measure member j, in [0, M), at energy Eprime.

@@ -12,6 +12,8 @@ import sys
 import numpy as np
 
 from conftest import X, dense_maps, phase_matrix, shift_matrix
+from test_feynman import dense_fixed_dim, oracle_composite
+from test_sync_oracle import collapse
 from qclock import sampling
 from qclock.clock import (
     Character,
@@ -165,6 +167,8 @@ def test_criterion_06_histories_and_spectral_solutions(random_family):
 
 
 def test_criterion_07_feynman_clock():
+    # against the dense U_1 of the oracle: its fixed space has dimension dim,
+    # and every basis history state is fixed by it
     rng = np.random.default_rng(777)
     worst = 0.0
     dims_ok = True
@@ -173,8 +177,11 @@ def test_criterion_07_feynman_clock():
         dim = int(rng.integers(1, 5))
         c = sampling.random_cyclified_circuit(n, dim, rng)
         rep = feynman_check(c, 1e-8)
-        worst = max(worst, rep.facts["max_residual"])
-        dims_ok = dims_ok and rep.facts["ground_dim"] == rep.facts["expected_dim"] and rep.passed
+        u1 = oracle_composite(c).unitaries[1]
+        for i in range(dim):
+            h = history_state(c, np.eye(dim)[i])
+            worst = max(worst, float(np.max(np.abs(u1 @ h - h))))
+        dims_ok = dims_ok and rep.passed and rep.facts["ground_dim"] == dense_fixed_dim(u1) == dim
 
     golden = make_circuit([X, X])
     h = history_state(golden, E0)
@@ -206,7 +213,7 @@ def test_criterion_08_conservation_of_total_energy():
         psis = [sampling.random_state(d.dim, rng) for d in ds]
         chi = int(rng.integers(0, N))
         family = EnergyFamily(ds, psis, chi)
-        worst_collapse = max(worst_collapse, family.collapse().residual)
+        worst_collapse = max(worst_collapse, collapse(family).residual)
         j = int(rng.integers(0, M))
         spec = hamiltonian(ds[j])
         for E in spec.support:

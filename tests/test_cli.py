@@ -459,12 +459,25 @@ def test_sync_at_ten_systems(tmp_path):
     assert json.loads(out)["M"] == M
 
 
+def test_feynman_at_512_stages(tmp_path):
+    # N dim = 2048: the composite would hold 2048^2 entries, past the default
+    # cap, while the check reads only the 4 x 4 cycle product
+    rng = np.random.default_rng(13)
+    half = [np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+            for _ in range(256)]
+    gates = half + [g.conj().T for g in reversed(half)]
+    doc = {"N": 512, "gates": [array_to_json(g) for g in gates]}
+    code, out, err = run_main("feynman", _doc_file(tmp_path, doc))
+    assert code == 0, err
+    assert json.loads(out)["ground_dim"] == 4
+
+
 def test_library_self_test_matches_the_cli_self_test():
     code, out, _ = run_main("--tol", "1e-12", "--seed", "3", "--self-test")
     assert code == 0
     report = run_self_test(3, 1e-12)
     assert json.loads(out)["checks"] == [c.as_dict() for c in report.checks]
-    assert {c.tol for c in report.checks} == {0.0, SELF_TEST_FLOOR}
+    assert {c.tol for c in report.checks} == {SELF_TEST_FLOOR}
 
 
 def test_internal_time_permutation_residual_is_judged_at_tol(tmp_path):

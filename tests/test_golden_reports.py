@@ -17,6 +17,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -25,12 +26,14 @@ import numpy as np
 import pytest
 
 from qclock import cli
+from qclock.linalg import DEFAULT_TOL
 from qclock.serialize import array_to_json
 
 TABLE = Path(__file__).with_name("golden_reports.json")
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
+Z = np.diag([1, -1]).astype(complex)
 
 
 def _haar(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -108,6 +111,12 @@ def _feynman_cases() -> list:
         ("feynman-not-unitary", [], {"N": 1, "gates": [array_to_json([[1, 1], [0, 1]])]}),
         ("feynman-shapes", [], {"N": 2, "gates": [array_to_json(X), array_to_json(np.eye(3))]}),
         ("feynman-gate-count", [], {"N": 3, "gates": [array_to_json(X)] * 2}),
+        (
+            # the cycle misses I by 1e-5, within --tol, but ker(C - I) has dim 1
+            "feynman-loose-tol",
+            ["--tol", "1e-4"],
+            {"N": 2, "gates": [array_to_json(np.diag([1, np.exp(1e-5j)])), array_to_json(I2)]},
+        ),
     ]
     return cases
 
@@ -154,10 +163,17 @@ def _sync_cases() -> list:
     del stack["generator"]
     plus = {"generator": array_to_json(X), "psi": array_to_json(np.array([1, 1]) / np.sqrt(2))}
     zero = {"generator": array_to_json(X), "psi": array_to_json(np.zeros(2))}
+    # [Z, X] is not a dynamic: its P_0 and P_1 are not orthogonal, so measuring misses
+    z_x = {"unitaries": [array_to_json(Z), array_to_json(X)], "psi": array_to_json([0.6, 0.8j])}
     cases += [
         ("sync-simple", [], simple),
         ("sync-tight-tol", ["--tol", "1e-18"], simple),
         ("sync-x-i-stack", [], {"N": 2, "systems": [stack, stack]}),
+        (
+            "sync-z-x-stack",
+            [],
+            {"N": 2, "chi": 1, "systems": [z_x, z_x], "measure": [{"system": 1, "energy": 1}]},
+        ),
         ("sync-zero-state", [], {"N": 2, "systems": [x_plus, zero]}),
         ("sync-vanishing-family", [], {"N": 2, "chi": 1, "systems": [plus, plus]}),
         (
@@ -209,20 +225,29 @@ def test_golden_report(tmp_path, cid, argv, doc):
     assert {"exit": code, "sha256": digest} == json.loads(TABLE.read_text())[cid]
 
 
+def _tol(argv: list) -> float:
+    return float(argv[argv.index("--tol") + 1]) if "--tol" in argv else DEFAULT_TOL.eps
+
+
 def test_every_dynamic_check_fails_on_some_fixture(tmp_path):
-    # a check earns its place in the report only if some bad input fails it at
-    # the default tol; a tightened --tol fails any residual and earns nothing
-    failed, names = set(), set()
-    for _, argv, doc in CASES:
-        if argv != ["dynamic"]:
-            continue
-        code, text = run_report(argv, doc, tmp_path)
-        if code == 2:
-            continue
-        checks = json.loads(text)["checks"]
-        names |= {c["name"] for c in checks}
-        failed |= {c["name"] for c in checks if not c["pass"]}
-    assert names and names <= failed, sorted(names - failed)
+    # a check of the dynamic, feynman and sync reports earns its place only if
+    # some bad input fails it at the default tol or a looser one; a tightened
+    # --tol fails any residual and earns nothing.  Indices in a check's name
+    # (system_1_spectrum) are read as one check.
+    for command in ("dynamic", "feynman", "sync"):
+        failed, names = set(), set()
+        for _, argv, doc in CASES:
+            if argv[-1] != command or _tol(argv) < DEFAULT_TOL.eps:
+                continue
+            code, text = run_report(argv, doc, tmp_path)
+            if code == 2:
+                continue
+            for check in json.loads(text)["checks"]:
+                name = re.sub(r"\d+", "#", check["name"])
+                names.add(name)
+                if not check["pass"]:
+                    failed.add(name)
+        assert names and names <= failed, (command, sorted(names - failed))
 
 
 def regenerate(names: set) -> int:
