@@ -67,11 +67,17 @@ class ProjectionSpectrum:
     N: int
     dim: int
     projectors: np.ndarray  # shape (N, dim, dim)
-    support: tuple[int, ...]
+    peaks: np.ndarray = field(init=False)  # largest entry of each P_E
+    support: tuple[int, ...] = field(init=False)  # labels whose peak exceeds SUPPORT_THRESHOLD
     ranks: dict[int, int] = field(init=False)  # supported E -> round(trace(P_E^dag P_E))
     completeness: float = field(init=False)  # max entry of sum_E P_E - I
 
     def __post_init__(self):
+        peaks = np.abs(self.projectors).max(axis=(1, 2))
+        peaks.flags.writeable = False
+        object.__setattr__(self, "peaks", peaks)
+        support = tuple(int(E) for E in np.flatnonzero(peaks > SUPPORT_THRESHOLD))
+        object.__setattr__(self, "support", support)
         # trace(P^dag P), summed one label at a time so that no stack-sized temporary is
         # built: never negative, trace(P) for a projector, and capped at dim, which also
         # reads a sum that overflowed to inf
@@ -80,6 +86,34 @@ class ProjectionSpectrum:
         object.__setattr__(self, "ranks", ranks)
         total = self.projectors.sum(axis=0)
         object.__setattr__(self, "completeness", linalg.max_abs_diff(total, identity(self.dim)))
+
+    @cached_property
+    def supported(self) -> np.ndarray:
+        """The projectors of the supported labels, in support order."""
+        return self.projectors[list(self.support)]
+
+    @cached_property
+    def pair_table(self) -> np.ndarray:
+        """Largest entry of P_E P_F - delta_EF P_E for supported E <= F (row E, column F).
+
+        A batch of rows E is one matrix product with the P_F, F from its first
+        row on, side by side.  Batches of a quarter of the rows (at least 4)
+        skip most products below the diagonal, where the table is 0, and none
+        holds more than ``linalg.max_entries()`` entries.
+        """
+        kept, dim, n = self.supported, self.dim, len(self.support)
+        right = kept.transpose(1, 0, 2).reshape(dim, n * dim)  # the P_F side by side
+        step = min(max(4, -(-n // 4)), max(1, linalg.max_entries() // max(n * dim * dim, 1)))
+        table = np.zeros((n, n))
+        for lo in range(0, n, step):
+            part, m = kept[lo : lo + step], n - lo
+            r, diag = len(part), np.arange(len(part))
+            blocks = (part.reshape(r * dim, dim) @ right[:, lo * dim :]).reshape(r, dim, m, dim)
+            blocks[diag, :, diag] -= part  # the blocks P_E P_E
+            size = np.abs(blocks.transpose(0, 2, 1, 3), out=np.empty((r, m, dim, dim)))
+            table[lo : lo + r, lo:] = size.reshape(r, m, dim * dim).max(axis=2)
+        table[np.arange(n)[:, None] > np.arange(n)] = 0.0  # a batch's own lower pairs
+        return table
 
 
 def constant_dynamic(N: int, dim: int) -> UnitaryDynamic:
@@ -100,8 +134,14 @@ def dynamic_from_generator(
     dim = U.shape[0]
     stack = np.empty((N, dim, dim), dtype=np.complex128)
     stack[0] = identity(dim)
-    for t in range(1, N):
-        stack[t] = U @ stack[t - 1]
+    # doubling: stack[n : n + k] = stack[:k] U^n, one (k dim) x dim block product
+    # per level, squaring U^n, since powers of U commute
+    flat, power, n = stack.reshape(N * dim, dim), U, 1
+    while n < N:
+        k = min(n, N - n)
+        np.matmul(flat[: k * dim], power, out=flat[n * dim : (n + k) * dim])
+        n += k
+        power = power @ power if n < N else power
     wrap = U @ stack[N - 1]
     err = linalg.max_abs_diff(wrap, identity(dim))
     if err > eps:
@@ -118,6 +158,11 @@ def clock_dynamic(N: int) -> UnitaryDynamic:
     return dynamic_from_generator(shift, N)
 
 
+#: Up to this N dim the action sweep, one (N dim)^2 product, costs less than
+#: the certificate with the spectrum it reads (measured in CHANGES.md).
+SWEEP_MAX_SIZE = 64
+
+
 def validate_dynamic(d: UnitaryDynamic, tol: Tolerance | float = DEFAULT_TOL) -> Report:
     """Check the three defining identities of a Z/N dynamic by index arithmetic mod N.
 
@@ -127,13 +172,14 @@ def validate_dynamic(d: UnitaryDynamic, tol: Tolerance | float = DEFAULT_TOL) ->
         translations), which with (1) and (2) makes every U_t unitary.
 
     The action law reports a certified upper bound on the all-pairs
-    residual (``_action_bound``); where that bound exceeds tol, it reports
-    the exact sweep.
+    residual, read from the kept spectrum (``_action_certificate``); where
+    that bound exceeds tol, and for N dim <= ``SWEEP_MAX_SIZE``, where the
+    sweep is the cheaper of the two, it reports the exact sweep.
     """
     eps = as_tolerance(tol).eps
     U, t = d.unitaries, np.arange(d.N)
 
-    action = _action_bound(U)
+    action = _action_certificate(d) if d.N * d.dim > SWEEP_MAX_SIZE else np.inf
     if not action <= eps:
         action = _action_sweep(U)
     unit = linalg.max_abs_diff(U[0], identity(d.dim))
@@ -150,12 +196,20 @@ def validate_dynamic(d: UnitaryDynamic, tol: Tolerance | float = DEFAULT_TOL) ->
 
 
 def _action_sweep(U: np.ndarray) -> float:
-    """Exact action residual: U_{s+t} against U_t U_s over all (s, t)."""
-    N = U.shape[0]
-    t = np.arange(N)
+    """Exact action residual: U_{s+t} against U_t U_s over all (s, t).
+
+    A batch of s is one matrix product [U_t; ...] [U_s ...], of at most
+    ``linalg.max_entries()`` entries.
+    """
+    N, dim = U.shape[0], U.shape[-1]
+    t, rows = np.arange(N), U.reshape(N * dim, dim)
+    step = max(1, linalg.max_entries() // (N * dim * dim))
     action = 0.0
-    for s in range(N):
-        action = max(action, linalg.max_abs_diff(U[(s + t) % N], U @ U[s]))
+    for lo in range(0, N, step):
+        s = t[lo : lo + step]
+        prod = rows @ U[s].transpose(1, 0, 2).reshape(dim, len(s) * dim)  # [t i, s j]
+        want = U[(t[:, None] + s) % N].transpose(0, 2, 1, 3)  # U_{s+t} at [t, i, s, j]
+        action = max(action, float(np.abs(prod.reshape(want.shape) - want).max()))
     return action
 
 
@@ -164,43 +218,61 @@ def _action_sweep(U: np.ndarray) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _power_bounds(U: np.ndarray) -> tuple[float, float, float]:
+def _action_certificate(d: UnitaryDynamic) -> float:
+    """Upper bound on the action sweep from the kept spectrum, at O(N |S| dim^2).
+
+    With A_t = sum_{E in S} chi_E(t) P_E over the support S and O_t = U_t - A_t,
+    U_t U_s - U_{s+t} = sum_{E,F} chi_E(t) chi_F(s) (P_E P_F - delta_EF P_E)
+    + A_t O_s + O_t U_s - O_{s+t} for any matrices P_E.  A pair term with E <= F
+    is at most dim times its ``pair_table`` entry plus its product's roundoff;
+    one below the diagonal at most its mirror's plus ||P_E|| h_F + h_E ||P_F||,
+    since P_F P_E = (P_E^dag P_F^dag)^dag, with h >= ||P - P^dag||.  ||U_t|| and
+    ||A_t|| - o are at most ||U_t||_F, o >= ||O_t||; and an entry of the sweep's
+    own |U_t| |U_s| is at most a row norm times a column norm (Rump, Acta
+    Numerica 19, 2010).  A support larger than dim is no dynamic's: inf.
+    """
+    spec, U, N, dim = d.spectrum, d.unitaries, d.N, d.dim
+    S = np.asarray(spec.support, dtype=np.int64)
+    if len(S) > dim:
+        return np.inf
+    k = (np.outer(np.arange(N), S) + N // 2) % N - N // 2  # E t mod N exactly, |k| <= N/2
+    P, table = spec.supported, spec.pair_table
+    kept = P.reshape(len(S), dim * dim)
+    A = np.exp((2j * np.pi / N) * k) @ kept
+    # Frobenius norms bound the 2-norms of P, |P| and U, w their own sums; a computed
+    # character is off by at most 12u: theta's three roundings (3 pi u), cos and sin
+    c, w, u = linalg.roundoff(dim), 1 + linalg.roundoff(dim * dim + 2), np.finfo(float).eps / 2
+    sizes = np.linalg.norm(kept, axis=1) * w
+    h = np.linalg.norm((P - np.conj(np.transpose(P, (0, 2, 1)))).reshape(len(S), -1), axis=1)
+    pairs = dim * (2 * table.sum() - table.trace()) + c * sizes.sum() ** 2
+    pairs += w * (h.sum() * sizes.sum() - h @ sizes)
+    slack = (12 * u + linalg.roundoff(len(S)) * (1 + 12 * u)) * sizes.sum()  # A_t's rounding
+    o = np.linalg.norm(U.reshape(N, dim * dim) - A, axis=1).max() * w + slack
+    rows, cols = np.linalg.norm(U, axis=2), np.linalg.norm(U, axis=1).max()
+    size = np.sqrt((rows**2).sum(axis=1)).max() * w
+    bound = pairs + o * (2 * size + o + 1) + c * rows.max() * cols * w
+    return bound * (1 + linalg.roundoff(len(S) ** 2 + 8))  # its own sums and subtractions
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _power_bounds(U: np.ndarray) -> tuple[float, float]:
     """How far a stack is from the powers of its generator G = U_1, from one batched product.
 
-    Returns (a, D, wrap) with a >= ||G||, D >= ||U_0 - I|| + sum_{k<N-1} ||U_{k+1} - G U_k||
-    and wrap >= ||U_0 - G U_{N-1}||, in the operator 2-norm of the stored entries
-    (``linalg.norm_bound``; each product adds its ``roundoff`` |G| |U_k|).  Since
-    a >= 1, telescoping gives ||U_t - G^t|| <= a^t D and ||U_t|| <= a^t (1 + D) for t < N.
+    Returns (a, D) with a >= ||G|| and D >= ||U_0 - I|| + sum_{k<N-1} ||U_{k+1} - G U_k||,
+    in the operator 2-norm of the stored entries (``linalg.norm_bound``; each
+    product adds its ``roundoff`` |G| |U_k|).  Since a >= 1, telescoping gives
+    ||U_t - G^t|| <= a^t D and ||U_t|| <= a^t (1 + D) for t < N.
     """
     N, dim = U.shape[0], U.shape[-1]
     G, eye, c = U[1 % N], identity(dim), linalg.roundoff(dim)
     norms = linalg.norm_bound(U)
     # ||G||^2 = ||G^dag G|| <= 1 + ||G^dag G - I||, and sqrt(1 + x) <= 1 + x/2
     gram = linalg.norm_bound(G.conj().T @ G - eye) + c * norms[1 % N] ** 2
-    moved = G @ U
-    moved[:-1] -= U[1:]  # the steps G U_k - U_{k+1}
-    moved[-1] -= U[0]  # and the wrap
-    defects = linalg.norm_bound(moved) + c * norms[1 % N] * norms  # |G| |U_k| allowance
-    steps, wrap = defects[:-1], defects[-1]
+    steps = G @ U[:-1]
+    steps -= U[1:]  # G U_k - U_{k+1}
+    steps = linalg.norm_bound(steps) + c * norms[1 % N] * norms[:-1]  # |G| |U_k| allowance
     a = np.nextafter(1 + gram / 2, np.inf)
-    return a, linalg.norm_bound(U[0] - eye) + steps.sum(), wrap
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _action_bound(U: np.ndarray) -> float:
-    """Upper bound on the action sweep, at O(N dim^3).
-
-    For fixed s, g_t = U_{s+t} - U_t U_s obeys g_0 = (I - U_0) U_s and
-    g_{t+1} = (U_{s+t+1} - G U_{s+t}) + G g_t - (U_{t+1} - G U_t) U_s, indices
-    mod N, so ||g_t|| <= a^(N-1) (D + wrap + D ||U_s||) for t < N; the sweep's
-    own product adds roundoff(dim) ||U_t|| ||U_s||.
-    """
-    a, D, wrap = _power_bounds(U)
-    N, dim = U.shape[0], U.shape[-1]
-    reach = a ** (N - 1)
-    size = reach * (1 + D)  # >= ||U_s||
-    bound = reach * (D + wrap + D * size) + linalg.roundoff(dim) * size**2
-    return bound * (1 + linalg.roundoff(N + dim))  # the bound's own sums
+    return a, linalg.norm_bound(U[0] - eye) + steps.sum()
 
 
 def spectral_projector(d: UnitaryDynamic, E: int) -> np.ndarray:
@@ -218,9 +290,7 @@ def hamiltonian(d: UnitaryDynamic) -> ProjectionSpectrum:
     """
     stack = fourier_transform(d.unitaries)
     stack.flags.writeable = False
-    peaks = np.abs(stack).max(axis=(1, 2))
-    support = tuple(int(E) for E in np.flatnonzero(peaks > SUPPORT_THRESHOLD))
-    return ProjectionSpectrum(N=d.N, dim=d.dim, projectors=stack, support=support)
+    return ProjectionSpectrum(N=d.N, dim=d.dim, projectors=stack)
 
 
 def spectrum_checks(
@@ -228,31 +298,41 @@ def spectrum_checks(
 ) -> Report:
     """Idempotence, self-adjointness, pairwise orthogonality, completeness.
 
-    Orthogonality is exact over pairs of supported labels; a pair with an
-    unsupported label e is covered by |P_e P_f| <= dim * max|P_e| * max|P_f|
-    (plus dot-product roundoff), so the value never falls below the all-pairs one.
+    Each is the largest entry over all labels, orthogonality over all pairs
+    E < F.  Over supported labels, idempotence and orthogonality are read
+    from ``pair_table``.  An unsupported label e of peak q = max|P_e| is
+    covered by |P_e^2 - P_e| <= q + dim q^2, |P_e - P_e^dag| <= 2 q and
+    |P_e P_f| <= dim q max|P_f| (each with roundoff), so no value falls below
+    its all-labels one; its self-adjointness is computed exactly where 2 q
+    exceeds tol, so no verdict turns on that bound.
     """
     eps = as_tolerance(tol).eps
-    p = s.projectors
-    idem = linalg.max_abs_diff(p @ p, p)
-    herm = linalg.max_abs_diff(p, np.conj(np.transpose(p, (0, 2, 1))))
-    orth = 0.0
-    for i, e in enumerate(s.support):
-        for f in s.support[i + 1 :]:
-            orth = max(orth, float(np.max(np.abs(p[e] @ p[f]))))
-    peaks = np.abs(p).max(axis=(1, 2))
-    off_peak = np.delete(peaks, s.support).max(initial=0.0)
-    roundoff = 1.0 + 8 * s.dim * np.finfo(float).eps
-    orth = max(orth, float(s.dim * off_peak * peaks.max() * roundoff))
+    p, peaks, table = s.projectors, s.peaks, s.pair_table
+    off = peaks <= SUPPORT_THRESHOLD  # the unsupported labels
+    q, roundoff = peaks[off].max(initial=0.0), 1.0 + 8 * s.dim * np.finfo(float).eps
+    idem = max(table.diagonal().max(initial=0.0), (q + s.dim * q**2) * roundoff)
+    herm, bound = _adjoint_defect(s.supported), 2 * q * roundoff
+    if herm < bound <= eps:  # below tol the bound stands, and no verdict turns on it
+        herm = bound
+    elif herm < bound:  # an unsupported label could raise it past tol
+        herm = max(herm, _adjoint_defect(p[off & (2 * peaks * roundoff > herm)]))
+    # the off-diagonal entries as one strided view; those below the diagonal are 0
+    pairs = table.ravel()[1:].reshape(-1, len(table) + 1)[:, :-1].max(initial=0.0)
+    orth = max(pairs, s.dim * q * peaks.max() * roundoff)
     return Report(
         title=f"projector spectrum (N={s.N}, dim={s.dim})",
         checks=(
-            Check("idempotence", idem, eps),
-            Check("self_adjointness", herm, eps),
-            Check("orthogonality", orth, eps),
+            Check("idempotence", float(idem), eps),
+            Check("self_adjointness", float(herm), eps),
+            Check("orthogonality", float(orth), eps),
             Check("completeness", s.completeness, eps),
         ),
     )
+
+
+def _adjoint_defect(p: np.ndarray) -> float:
+    """Largest entry of P - P^dag over a stack (0 for an empty one)."""
+    return float(np.abs(p - np.conj(np.transpose(p, (0, 2, 1)))).max(initial=0.0))
 
 
 def stone_reconstruct(

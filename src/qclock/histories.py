@@ -88,7 +88,7 @@ def _translation_bound(states: np.ndarray, U: np.ndarray) -> float:
     (G^t - U_t) psi_s is at most a^t D ||psi_s|| (``_power_bounds``); the
     sweep's own product adds roundoff(dim) ||U_t|| ||psi_s||.
     """
-    a, D, _ = _power_bounds(U)
+    a, D = _power_bounds(U)
     N, dim = U.shape[0], U.shape[-1]
     c, G = linalg.roundoff(dim), U[1 % N]
     lengths = linalg.norm_bound(states[:, :, None])  # >= ||psi_s||

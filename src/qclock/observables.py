@@ -207,7 +207,7 @@ def _weyl_bound(U: np.ndarray, V: np.ndarray, e_support, t_max: int) -> float:
     is at most t a^(t-1) ||K_E|| + 2 ||V_E|| a^t D (``_power_bounds``),
     which grows with t; the sweep's own products and phase add the rest.
     """
-    a, D, _ = _power_bounds(U)
+    a, D = _power_bounds(U)
     N, dim = U.shape[0], U.shape[-1]
     c, G, E = linalg.roundoff(dim), U[1 % N], np.asarray(e_support, dtype=int)
     u, theta, W = np.finfo(float).eps / 2, 2 * np.pi * E / N, V[E]
@@ -245,10 +245,12 @@ def uncertainty_check(
     notes = list(weyl.notes)
 
     uniform = np.full(N, 1.0 / N)
+    rank1 = [label for label, rank in spec_v.ranks.items() if rank == 1]
+    eigvecs = dict(zip(rank1, linalg.rank1_eigvec(spec_v.projectors[rank1])))
     for label, rank in spec_v.ranks.items():
         p = spec_v.projectors[label]
         if rank == 1:
-            psi = linalg.rank1_eigvec(p)
+            psi = eigvecs[label]
         else:
             psi = p @ (rng.normal(size=dV.dim) + 1j * rng.normal(size=dV.dim))
             psi = psi / np.linalg.norm(psi)

@@ -3,8 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import X, Z, phase_matrix, shift_matrix
+from qclock import sampling
 from qclock.clock import Character, character_vector
 from qclock.dynamics import (
     UnitaryDynamic,
@@ -50,6 +53,65 @@ def test_generator_x_period_three_rejected():
 def test_generator_must_be_unitary():
     with pytest.raises(NotUnitaryError):
         dynamic_from_generator(np.array([[1, 1], [0, 1]]), 2)
+
+
+sizes = st.integers(1, 300) | st.sampled_from([2**j for j in range(9)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=sizes, dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_doubled_powers_match_the_eigenphases(N, dim, seed):
+    rng = np.random.default_rng(seed)
+    v, k = sampling.haar_unitary(dim, rng), rng.integers(0, N, size=dim)
+    d = dynamic_from_generator((v * np.exp(2j * np.pi * k / N)) @ v.conj().T, N)
+    t = np.arange(N)
+    want = np.einsum("ij,tj,kj->tik", v, np.exp(2j * np.pi * np.outer(t, k) / N), v.conj())
+    # the stored generator's eigenvalues miss omega^k by about dim eps, and any
+    # way of taking U^t carries t times that: the bound is linear in t, not in log t
+    err = np.abs(d.unitaries - want).max(axis=(1, 2))
+    assert (err <= 16 * (t + 1) * dim * np.finfo(float).eps).all()
+
+
+def sequential_wrap(gen: np.ndarray, N: int) -> float:
+    """max|U^N - I| with U^N formed one product at a time, as before doubling."""
+    power = np.eye(len(gen), dtype=complex)
+    for _ in range(N):
+        power = gen @ power
+    return float(np.max(np.abs(power - np.eye(len(gen)))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=sizes, dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_off_period_generators_raise_the_same_message(N, dim, seed):
+    rng = np.random.default_rng(seed)
+    v = sampling.haar_unitary(dim, rng)
+    # one eigenphase a third of the way between two N-th roots of unity
+    phases = 2 * np.pi * (rng.integers(0, N, size=dim) + np.eye(dim)[0] / 3) / N
+    gen = (v * np.exp(1j * phases)) @ v.conj().T
+    message = (
+        f"generator^{N} differs from identity by {sequential_wrap(gen, N):.3e}; "
+        f"its eigenphases are not {N}-th roots of unity"
+    )
+    with pytest.raises(NotPeriodicError) as info:
+        dynamic_from_generator(gen, N)
+    assert str(info.value) == message
+
+
+OFF_PERIOD = "differs from identity by 1.000e+00; its eigenphases are not 3-th roots of unity"
+
+
+@pytest.mark.parametrize(
+    "gen, N, error, message",
+    [
+        (X, 3, NotPeriodicError, f"generator^3 {OFF_PERIOD}"),
+        ([[1, 1], [0, 1]], 2, NotUnitaryError, "generator is not unitary, max error 1.000e+00"),
+        (2 * np.eye(3), 4, NotUnitaryError, "generator is not unitary, max error 3.000e+00"),
+    ],
+)
+def test_generator_errors_keep_their_messages(gen, N, error, message):
+    with pytest.raises(error) as info:
+        dynamic_from_generator(gen, N)
+    assert str(info.value) == message
 
 
 def test_validate_dynamic_passes_for_representation():
@@ -175,7 +237,7 @@ def test_stone_rejects_incomplete_spectrum():
 
     with pytest.raises(IncompleteSpectrumError):
         stone_reconstruct(
-            ProjectionSpectrum(N=2, dim=2, projectors=broken, support=(0,))
+            ProjectionSpectrum(N=2, dim=2, projectors=broken)
         )
 
 

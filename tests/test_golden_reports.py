@@ -94,6 +94,12 @@ def _dynamic_cases() -> list:
         ),
         ("dynamic-dim-mismatch", [], {"N": 2, "dim": 3, "generator": array_to_json(X)}),
     ]
+    # N dim above dynamics.SWEEP_MAX_SIZE: the action law reads the certificate
+    gen = _generator(32, rng.integers(0, 32, size=4), rng)
+    cases.append(("dynamic-gen-32x4", [], {"N": 32, "dim": 4, "generator": array_to_json(gen)}))
+    v, levels = _haar(8, rng), np.exp(2j * np.pi * rng.integers(0, 16, size=8) / 16)
+    phases = [array_to_json((v * levels**t) @ v.conj().T) for t in range(16)]  # each on its own
+    cases.append(("dynamic-phases-16x8", [], {"N": 16, "unitaries": phases}))
     return cases
 
 
@@ -128,6 +134,15 @@ def _internal_time_cases() -> list:
     def doc(N, gen):
         return {"N": N, "generator": array_to_json(gen)}
 
+    def one_tick_off(N):
+        # a dynamic with levels {0, N/2} whose U_1 is off by 5e-6: each projector
+        # moves by only 1/N of that, so the spectrum keeps its levels, but U_1
+        # misses the internal clock by about 4e-6, past --tol 1e-6
+        v, levels = _haar(2, rng), np.exp(2j * np.pi * np.array([0, N // 2]) / N)
+        stack = [(v * levels**t) @ v.conj().T for t in range(N)]
+        stack[1] = stack[1] + 5e-6 * _haar(2, rng)
+        return {"N": N, "unitaries": [array_to_json(u) for u in stack]}
+
     return [
         ("internal-time-z6", [], {**doc(6, np.diag([1, w6**2, w6**4])), "dim": 3}),
         ("internal-time-subgroup-12", [], doc(12, _generator(12, [0, 3, 6, 9], rng))),
@@ -135,6 +150,7 @@ def _internal_time_cases() -> list:
         ("internal-time-degenerate", [], doc(4, _generator(4, [1, 1, 3], rng))),
         ("internal-time-not-subgroup", [], doc(4, np.diag([1, 1j]))),
         ("internal-time-tight-tol", ["--tol", "1e-18"], doc(3, np.roll(np.eye(3), 1, axis=0))),
+        ("internal-time-one-tick-off", ["--tol", "1e-6"], one_tick_off(64)),
     ]
 
 
@@ -230,11 +246,11 @@ def _tol(argv: list) -> float:
 
 
 def test_every_dynamic_check_fails_on_some_fixture(tmp_path):
-    # a check of the dynamic, feynman and sync reports earns its place only if
-    # some bad input fails it at the default tol or a looser one; a tightened
-    # --tol fails any residual and earns nothing.  Indices in a check's name
-    # (system_1_spectrum) are read as one check.
-    for command in ("dynamic", "feynman", "sync"):
+    # a check of the dynamic, feynman, sync and internal-time reports earns its
+    # place only if some bad input fails it at the default tol or a looser one;
+    # a tightened --tol fails any residual and earns nothing.  Indices in a
+    # check's name (system_1_spectrum) are read as one check.
+    for command in ("dynamic", "feynman", "sync", "internal-time"):
         failed, names = set(), set()
         for _, argv, doc in CASES:
             if argv[-1] != command or _tol(argv) < DEFAULT_TOL.eps:

@@ -1,22 +1,24 @@
-"""Certified one-step bounds for the group laws, against their all-pairs sweeps.
+"""Certified bounds for the group laws, against their all-pairs sweeps.
 
-The action law, the translation equation and the Weyl relation report an
-upper bound built by telescoping one-step residuals
-(``dynamics._power_bounds``), and fall back to the exact all-pairs sweep
-where that bound exceeds tol.  The sweeps stay in ``src/`` and are the
+The action law reports a certificate read from the kept spectrum
+(``dynamics._action_certificate``); the translation equation and the Weyl
+relation report an upper bound built by telescoping one-step residuals
+(``dynamics._power_bounds``).  Each falls back to its exact all-pairs sweep
+where the bound exceeds tol.  The sweeps stay in ``src/`` and are the
 oracle here: the bound is never below the sweep, the verdict is always the
 sweep's, and the reported value is the bound or, above tol, the sweep.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import X, Z, phase_matrix, shift_matrix
-from qclock import dynamics, observables, sampling
+from qclock import dynamics, histories, observables, sampling
 from qclock.dynamics import (
     UnitaryDynamic,
-    _action_bound,
+    _action_certificate,
     _action_sweep,
     constant_dynamic,
     dynamic_from_generator,
@@ -56,16 +58,50 @@ def reported(bound: float, exact: float) -> float:
     return bound if bound <= EPS else exact
 
 
-@settings(max_examples=80, deadline=None)
-@given(N=st.integers(1, 16), dim=st.integers(1, 6), seed=seeds, perturbation=perturbations)
-def test_action_bound_covers_the_sweep(N, dim, seed, perturbation):
+def phase_built(N: int, dim: int, rng) -> np.ndarray:
+    """A valid stack whose U_t = V diag(omega^(k t)) V^dag are each computed on their own."""
+    v, k = sampling.haar_unitary(dim, rng), rng.integers(0, N, size=dim)
+    phases = np.exp(2j * np.pi * np.outer(np.arange(N), k) / N)
+    return np.einsum("ij,tj,kj->tik", v, phases, v.conj())
+
+
+def drawn_stack(N: int, dim: int, kind: str, rng) -> np.ndarray:
+    if kind == "phases":
+        return phase_built(N, dim, rng)
+    U = sampling.random_dynamic(N, dim, rng).unitaries
+    if kind == "shuffled":  # the ticks of a dynamic in another order
+        return U[rng.permutation(N)]
+    if kind == "haar":  # unitaries drawn one by one: no dynamic
+        return np.stack([sampling.haar_unitary(dim, rng) for _ in range(N)])
+    return U
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    N=st.integers(1, 16),
+    dim=st.integers(1, 6),
+    seed=seeds,
+    perturbation=perturbations,
+    kind=st.sampled_from(["generator", "phases", "shuffled", "haar"]),
+)
+def test_action_certificate_covers_the_sweep(N, dim, seed, perturbation, kind):
     rng = np.random.default_rng(seed)
-    U = perturbed(sampling.random_dynamic(N, dim, rng).unitaries, perturbation, rng)
-    bound, exact = _action_bound(U), _action_sweep(U)
+    d = UnitaryDynamic(N, dim, perturbed(drawn_stack(N, dim, kind, rng), perturbation, rng))
+    bound, exact = _action_certificate(d), _action_sweep(d.unitaries)
     assert bound >= exact
-    check = validate_dynamic(UnitaryDynamic(N, dim, U)).check("action_law")
+    check = validate_dynamic(d).check("action_law")
     assert check.passed == (exact <= EPS)
-    assert check.max_error == reported(bound, exact)
+    # up to SWEEP_MAX_SIZE the sweep is the cheaper of the two and always reports
+    small = N * dim <= dynamics.SWEEP_MAX_SIZE
+    assert check.max_error == (exact if small else reported(bound, exact))
+
+
+def test_action_certificate_reads_the_x_i_stack_and_fails():
+    # P_1 = (X - I)/2 squares to -P_1, so the pair term ||P_1^2 - P_1|| = ||I - X|| is 2
+    d = UnitaryDynamic(2, 2, np.stack([X, np.eye(2, dtype=complex)]))
+    assert _action_certificate(d) == pytest.approx(2.0, abs=1e-12)
+    check = validate_dynamic(d).check("action_law")
+    assert not check.passed and check.max_error == _action_sweep(d.unitaries) == 1.0
 
 
 @settings(max_examples=80, deadline=None)
@@ -133,7 +169,7 @@ def test_weyl_bound_covers_the_sweep(N, seed, perturbation, on_shift, swapped):
 
 def test_action_law_reports_the_sweep_above_tol():
     d = constant_dynamic(5, 3)
-    assert _action_bound(d.unitaries) > 1e-15
+    assert _action_certificate(d) > 1e-15
     check = validate_dynamic(d, 1e-15).check("action_law")
     assert check.passed and check.max_error == 0.0
 
@@ -169,4 +205,35 @@ def test_validate_dynamic_at_a_thousand_ticks(monkeypatch):
     d = dynamic_from_generator(W @ np.diag(np.exp(2j * np.pi * energies / N)) @ W.conj().T, N)
     monkeypatch.setattr(dynamics, "_action_sweep", no_sweep)
     report = validate_dynamic(d)
+    assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize(
+    "N, dim, built", [(16384, 8, "phases"), (4096, 16, "generator"), (16384, 8, "generator")]
+)
+def test_large_dynamics_certify_without_the_sweep(monkeypatch, N, dim, built):
+    # the sweep takes minutes here (N^2 dim^3); a phase-built stack has nonzero
+    # one-step residuals, and a doubled one has them too
+    rng = np.random.default_rng(N + dim)
+    if built == "phases":
+        d = UnitaryDynamic(N, dim, phase_built(N, dim, rng))
+    else:
+        d = sampling.random_dynamic(N, dim, rng)
+    monkeypatch.setattr(dynamics, "_action_sweep", no_sweep)
+    report = validate_dynamic(d)
+    assert report.passed, report.summary()
+
+
+def test_doubled_stacks_keep_the_translation_and_weyl_bounds(monkeypatch):
+    # the benchmark's sizes: histories at N=1000, dim=8 and the Haar-conjugated
+    # Weyl pair at N=32, both built by doubling, certify without their sweeps
+    monkeypatch.setattr(histories, "_translation_sweep", no_sweep)
+    monkeypatch.setattr(observables, "_weyl_sweep", no_sweep)
+    rng = np.random.default_rng(32)
+    d = sampling.random_dynamic(1000, 8, rng)
+    h = history_from_state(d, sampling.random_state(8, rng))
+    ok, err = is_em_morphism(h, d)
+    assert ok and err <= EPS
+    dU, dV = weyl_pair(32, rng)
+    report = weyl_ccr_check(dU, dV)
     assert report.passed, report.summary()

@@ -55,7 +55,7 @@ def test_clock_energy_observable_is_group_comult():
 def test_incomplete_spectrum_rejected():
     spec = hamiltonian(dynamic_from_generator(X, 2))
     broken = ProjectionSpectrum(
-        N=2, dim=2, projectors=np.stack([spec.projectors[0], np.zeros((2, 2))]), support=(0,)
+        N=2, dim=2, projectors=np.stack([spec.projectors[0], np.zeros((2, 2))])
     )
     with pytest.raises(IncompleteSpectrumError):
         observable_from_spectrum(broken)

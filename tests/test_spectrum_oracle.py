@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import character_matrix
-from qclock import sampling
+from qclock import linalg, sampling
 from qclock.dynamics import (
     SUPPORT_THRESHOLD,
     ProjectionSpectrum,
+    UnitaryDynamic,
     dynamic_from_generator,
     fourier_transform,
     hamiltonian,
@@ -161,6 +162,28 @@ def test_support_orthogonality_bounds_the_oracle(N, dim, support_size, data):
         assert report.check(name).passed == (value <= EPS), name
 
 
+@pytest.mark.parametrize("cap", [1 << 20, 50, 1])
+def test_pair_table_matches_the_pair_loop_in_every_batching(cap):
+    # unitaries drawn one by one: no dynamic, so every label is supported and the
+    # table's row batches (a quarter of the rows, fewer under a small entry cap) all run
+    rng = np.random.default_rng(cap)
+    stack = np.stack([sampling.haar_unitary(3, rng) for _ in range(24)])
+    previous = linalg.max_entries()
+    linalg.set_max_entries(cap)
+    try:
+        spec = UnitaryDynamic(24, 3, stack).spectrum
+        table = spec.pair_table
+    finally:
+        linalg.set_max_entries(previous)
+    p = spec.projectors[list(spec.support)]
+    want = np.zeros_like(table)
+    for e in range(len(p)):
+        for f in range(e, len(p)):
+            want[e, f] = np.abs(p[e] @ p[f] - (p[e] if e == f else 0)).max()
+    assert len(spec.support) == 24
+    assert np.max(np.abs(table - want)) <= AGREE
+
+
 def test_small_off_support_projector_fails_as_the_oracle_does():
     d = drawn_dynamic(8, [0, 0, 3, 5], seed=4)
     spec = hamiltonian(d)
@@ -170,7 +193,8 @@ def test_small_off_support_projector_fails_as_the_oracle_does():
     stack = spec.projectors.copy()
     stack[6] = 1e-8 * (z + z.conj().T) / 2
     assert np.abs(stack[6]).max() < SUPPORT_THRESHOLD
-    broken = ProjectionSpectrum(N=8, dim=4, projectors=stack, support=spec.support)
+    broken = ProjectionSpectrum(N=8, dim=4, projectors=stack)
+    assert broken.support == spec.support
 
     report = spectrum_checks(broken, EPS)
     want = oracle_checks(stack)
