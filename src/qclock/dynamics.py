@@ -243,7 +243,7 @@ def _action_certificate(d: UnitaryDynamic) -> float:
     # character is off by at most 12u: theta's three roundings (3 pi u), cos and sin
     c, w, u = linalg.roundoff(dim), 1 + linalg.roundoff(dim * dim + 2), np.finfo(float).eps / 2
     sizes = np.linalg.norm(kept, axis=1) * w
-    h = np.linalg.norm((P - np.conj(np.transpose(P, (0, 2, 1)))).reshape(len(S), -1), axis=1)
+    h = np.linalg.norm(P - np.conj(np.transpose(P, (0, 2, 1))), axis=(1, 2))  # Frobenius
     pairs = dim * (2 * table.sum() - table.trace()) + c * sizes.sum() ** 2
     pairs += w * (h.sum() * sizes.sum() - h @ sizes)
     slack = (12 * u + linalg.roundoff(len(S)) * (1 + 12 * u)) * sizes.sum()  # A_t's rounding
@@ -301,38 +301,25 @@ def spectrum_checks(
     Each is the largest entry over all labels, orthogonality over all pairs
     E < F.  Over supported labels, idempotence and orthogonality are read
     from ``pair_table``.  An unsupported label e of peak q = max|P_e| is
-    covered by |P_e^2 - P_e| <= q + dim q^2, |P_e - P_e^dag| <= 2 q and
-    |P_e P_f| <= dim q max|P_f| (each with roundoff), so no value falls below
-    its all-labels one; its self-adjointness is computed exactly where 2 q
-    exceeds tol, so no verdict turns on that bound.
+    covered by |P_e^2 - P_e| <= q + dim q^2 and |P_e P_f| <= dim q max|P_f|
+    (each with roundoff), so neither value falls below its all-labels one.
     """
     eps = as_tolerance(tol).eps
-    p, peaks, table = s.projectors, s.peaks, s.pair_table
-    off = peaks <= SUPPORT_THRESHOLD  # the unsupported labels
-    q, roundoff = peaks[off].max(initial=0.0), 1.0 + 8 * s.dim * np.finfo(float).eps
+    p, table = s.projectors, s.pair_table
+    q = s.peaks[s.peaks <= SUPPORT_THRESHOLD].max(initial=0.0)  # the unsupported labels
+    roundoff = 1.0 + 8 * s.dim * np.finfo(float).eps
     idem = max(table.diagonal().max(initial=0.0), (q + s.dim * q**2) * roundoff)
-    herm, bound = _adjoint_defect(s.supported), 2 * q * roundoff
-    if herm < bound <= eps:  # below tol the bound stands, and no verdict turns on it
-        herm = bound
-    elif herm < bound:  # an unsupported label could raise it past tol
-        herm = max(herm, _adjoint_defect(p[off & (2 * peaks * roundoff > herm)]))
-    # the off-diagonal entries as one strided view; those below the diagonal are 0
-    pairs = table.ravel()[1:].reshape(-1, len(table) + 1)[:, :-1].max(initial=0.0)
-    orth = max(pairs, s.dim * q * peaks.max() * roundoff)
+    herm = linalg.max_abs_diff(p, np.conj(np.transpose(p, (0, 2, 1))))
+    orth = max(np.triu(table, 1).max(initial=0.0), s.dim * q * s.peaks.max() * roundoff)
     return Report(
         title=f"projector spectrum (N={s.N}, dim={s.dim})",
         checks=(
             Check("idempotence", float(idem), eps),
-            Check("self_adjointness", float(herm), eps),
+            Check("self_adjointness", herm, eps),
             Check("orthogonality", float(orth), eps),
             Check("completeness", s.completeness, eps),
         ),
     )
-
-
-def _adjoint_defect(p: np.ndarray) -> float:
-    """Largest entry of P - P^dag over a stack (0 for an empty one)."""
-    return float(np.abs(p - np.conj(np.transpose(p, (0, 2, 1)))).max(initial=0.0))
 
 
 def stone_reconstruct(

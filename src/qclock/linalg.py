@@ -147,16 +147,13 @@ def unitarity_residual(stack: np.ndarray) -> np.ndarray:
 
 
 def rank1_eigvec(p: np.ndarray) -> np.ndarray:
-    """Unit vector spanning a rank-1 projector, phase fixed deterministically.
-
-    On a stack of projectors, one vector per projector, all in one pass.
-    """
-    stack = p.reshape(-1, *p.shape[-2:])
-    rows = np.arange(len(stack))
-    v = stack[rows, :, np.argmax(np.linalg.norm(stack, axis=1), axis=1)]
-    v = v / np.linalg.norm(v, axis=1, keepdims=True)
-    lead = v[rows, np.argmax(np.abs(v), axis=1)][:, None]
-    return (v / (lead / np.abs(lead))).reshape(p.shape[:-1])
+    """Unit vector spanning a rank-1 projector, phase fixed deterministically."""
+    col = int(np.argmax(np.linalg.norm(p, axis=0)))
+    v = p[:, col]
+    v = v / np.linalg.norm(v)
+    lead = int(np.argmax(np.abs(v)))
+    phase = v[lead] / abs(v[lead])
+    return v / phase
 
 
 def orthonormal_range(mat: np.ndarray) -> np.ndarray:

@@ -245,12 +245,10 @@ def uncertainty_check(
     notes = list(weyl.notes)
 
     uniform = np.full(N, 1.0 / N)
-    rank1 = [label for label, rank in spec_v.ranks.items() if rank == 1]
-    eigvecs = dict(zip(rank1, linalg.rank1_eigvec(spec_v.projectors[rank1])))
     for label, rank in spec_v.ranks.items():
         p = spec_v.projectors[label]
         if rank == 1:
-            psi = eigvecs[label]
+            psi = linalg.rank1_eigvec(p)
         else:
             psi = p @ (rng.normal(size=dV.dim) + 1j * rng.normal(size=dV.dim))
             psi = psi / np.linalg.norm(psi)

@@ -223,7 +223,7 @@ def demolition_hamiltonian(d: UnitaryDynamic) -> list[tuple[np.ndarray, int]]:
     if _degeneracy(d):
         raise DegenerateError("dynamic has a degenerate energy level")
     spec = d.spectrum
-    return list(zip(linalg.rank1_eigvec(spec.projectors[list(spec.support)]), spec.support))
+    return [(linalg.rank1_eigvec(spec.projectors[E]), E) for E in spec.support]
 
 
 def internal_time_observable(d: UnitaryDynamic) -> InternalClockDescriptor:

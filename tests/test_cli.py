@@ -414,6 +414,15 @@ def test_dynamic_failing_the_laws_is_a_failed_check(tmp_path):
     assert all(rank >= 0 for rank in report["ranks"].values())  # P_1 = (X - I)/2 has trace -1
 
 
+def test_dynamic_of_zero_matrices_above_the_sweep_size_fails_its_unit_law(tmp_path):
+    # N dim = 80 > SWEEP_MAX_SIZE, so the action law reads the certificate off an empty support
+    doc = {"N": 40, "unitaries": [array_to_json(np.zeros((2, 2)))] * 40}
+    code, out, err = run_main("dynamic", _doc_file(tmp_path, doc))
+    assert code == 1, err
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert not checks["unit_law"]["pass"] and checks["action_law"]["pass"]
+
+
 @pytest.mark.parametrize("tol", ["1e-9", "0.5"])
 def test_sync_measure_overlap_is_not_judged_at_tol(tmp_path, tol):
     # <-|psi> = sin(a) = 0.4 is a nonzero overlap at any --tol

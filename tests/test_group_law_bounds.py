@@ -104,6 +104,17 @@ def test_action_certificate_reads_the_x_i_stack_and_fails():
     assert not check.passed and check.max_error == _action_sweep(d.unitaries) == 1.0
 
 
+def test_action_certificate_reads_an_empty_support(monkeypatch):
+    # zero matrices: no label is supported, A_t = 0 and O_t = U_t = 0; U_t U_s = U_{s+t}
+    # holds exactly, so the certificate passes and the unit law fails
+    N, dim = 40, 2
+    d = UnitaryDynamic(N, dim, np.zeros((N, dim, dim), dtype=complex))
+    assert N * dim > dynamics.SWEEP_MAX_SIZE and d.spectrum.support == ()
+    monkeypatch.setattr(dynamics, "_action_sweep", no_sweep)
+    report = validate_dynamic(d)
+    assert report.check("action_law").passed and not report.check("unit_law").passed
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     N=st.integers(1, 16),

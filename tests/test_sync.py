@@ -339,6 +339,16 @@ def test_descent_incompatible_support_rejected():
         dynamic_descent(dg, dh, 0)
 
 
+def test_descent_incompatible_support_above_the_sweep_size_rejected():
+    # even energies on a Z/66 clock (m = 33) against odd ones on a dim-2 partner: the
+    # candidate is rounding-level, and m dim = 66 puts its action law on the certificate
+    w = np.exp(2j * np.pi / 66)
+    dg = dynamic_from_generator(np.diag(w ** (2 * np.arange(33))), 66)
+    dh = dynamic_from_generator(np.diag([w, w**3]), 66)
+    with pytest.raises(AxiomsViolatedError):
+        dynamic_descent(dg, dh, 0)
+
+
 def test_proportionality_residual_is_never_negative():
     rng = np.random.default_rng(2)
     raw_negative = 0
