@@ -10,10 +10,8 @@ and dynamic descent.
 """
 
 from .clock import (
-    Character,
     ClockStructures,
     Table,
-    character_vector,
     make_clock,
     verify_strong_complementarity,
 )

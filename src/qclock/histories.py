@@ -16,6 +16,7 @@ import numpy as np
 
 from . import linalg
 from .dynamics import (
+    SWEEP_MAX_SIZE,
     ProjectionSpectrum,
     UnitaryDynamic,
     _power_bounds,
@@ -56,26 +57,31 @@ def is_em_morphism(
     """Check the translation equation psi_{s+t mod N} = U_t psi_s for all s, t.
 
     The error is a certified upper bound on the all-pairs residual
-    (``_translation_bound``), or the exact sweep where that bound exceeds tol.
+    (``_translation_bound``), or the exact sweep where that bound exceeds tol
+    and for N dim <= ``SWEEP_MAX_SIZE``, where the sweep is the cheaper.
     """
     if h.N != d.N or h.dim != d.dim:
         raise ShapeMismatchError(
             f"history on (N={h.N}, dim={h.dim}) vs dynamic (N={d.N}, dim={d.dim})"
         )
     eps = as_tolerance(tol).eps
-    err = float(_translation_bound(h.states, d.unitaries))
+    states, U = h.states, d.unitaries
+    err = float(_translation_bound(states, U)) if h.N * h.dim > SWEEP_MAX_SIZE else np.inf
     if not err <= eps:
-        err = _translation_sweep(h.states, d.unitaries)
+        err = _translation_sweep(states, U)
     return err <= eps, err
 
 
 def _translation_sweep(states: np.ndarray, U: np.ndarray) -> float:
-    """Exact residual of psi_{s+t} = U_t psi_s over all (s, t)."""
+    """Exact residual of psi_{s+t} = U_t psi_s over all (s, t): a batch of s is one
+    product [psi_s; ...] [U_t ...]^T of at most ``linalg.max_entries()`` entries."""
+    N, cols = len(U), U.reshape(-1, U.shape[-1]).T  # U_t[i, j] at [j, t i]
+    t, step = np.arange(N), max(1, linalg.max_entries() // cols.shape[1])
     err = 0.0
-    for t in range(U.shape[0]):
-        shifted = np.roll(states, -t, axis=0)  # row s -> psi_{s+t}
-        evolved = states @ U[t].T
-        err = max(err, linalg.max_abs_diff(shifted, evolved))
+    for lo in range(0, N, step):
+        s = t[lo : lo + step]
+        want = states[(s[:, None] + t) % N]  # psi_{s+t} at [s, t, i]
+        err = max(err, float(np.abs(states[s] @ cols - want.reshape(len(s), -1)).max()))
     return err
 
 

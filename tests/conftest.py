@@ -20,6 +20,11 @@ def phase_matrix(N: int) -> np.ndarray:
     return np.diag(np.exp(2j * np.pi * np.arange(N) / N))
 
 
+def character_vector(N: int, E: int) -> np.ndarray:
+    """Column of values chi_E(t) = exp(2 pi i E t / N); squared norm N."""
+    return np.exp(2j * np.pi * E * np.arange(N) / N)
+
+
 def swap_map(n: int, m: int) -> np.ndarray:
     """Permutation matrix exchanging the two factors of an n (x) m product."""
     s = np.zeros((m * n, n * m), dtype=complex)

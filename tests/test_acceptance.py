@@ -11,16 +11,11 @@ import sys
 
 import numpy as np
 
-from conftest import X, dense_maps, phase_matrix, shift_matrix
+from conftest import X, character_vector, dense_maps, phase_matrix, shift_matrix
 from test_feynman import dense_fixed_dim, oracle_composite
 from test_sync_oracle import collapse
 from qclock import sampling
-from qclock.clock import (
-    Character,
-    character_vector,
-    make_clock,
-    verify_strong_complementarity,
-)
+from qclock.clock import make_clock, verify_strong_complementarity
 from qclock.dynamics import (
     clock_dynamic,
     dynamic_from_generator,
@@ -72,7 +67,7 @@ def test_criterion_02_character_duality():
     worst_gram = worst_pointwise = 0.0
     for N in range(1, 17):
         cs = dense_maps(make_clock(N))
-        cols = np.column_stack([character_vector(Character(N, E)) for E in range(N)])
+        cols = np.column_stack([character_vector(N, E) for E in range(N)])
         gram = cols.conj().T @ cols
         worst_gram = max(worst_gram, float(np.max(np.abs(gram - N * np.eye(N)))))
         for E in range(N):

@@ -1,16 +1,16 @@
-from dataclasses import fields
+import itertools
+from collections import Counter
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import dense_maps, swap_map, tensor, verify_multiplicative_character
-from qclock.clock import (
-    Character,
-    Table,
-    character_vector,
-    make_clock,
-    verify_strong_complementarity,
-)
+from conftest import character_vector, dense_maps, swap_map, tensor, verify_multiplicative_character
+from test_law_oracle import assert_agrees, oracle_structure_laws, perturbed_clock, wrong_clocks
+from qclock import clock, linalg
+from qclock.clock import Table, make_clock, verify_strong_complementarity
 from qclock.errors import ShapeMismatchError
 from qclock.linalg import basis_vector
 
@@ -63,21 +63,14 @@ def test_time_copy_and_delete_on_basis():
 
 
 def test_character_vectors():
-    assert np.allclose(character_vector(Character(4, 0)), [1, 1, 1, 1])
-    assert np.allclose(character_vector(Character(4, 1)), [1, 1j, -1, -1j])
-    assert np.allclose(character_vector(Character(2, 1)), [1, -1])
-
-
-def test_character_label_range():
-    with pytest.raises(ValueError):
-        Character(4, 4)
-    with pytest.raises(ValueError):
-        Character(4, -1)
+    assert np.allclose(character_vector(4, 0), [1, 1, 1, 1])
+    assert np.allclose(character_vector(4, 1), [1, 1j, -1, -1j])
+    assert np.allclose(character_vector(2, 1), [1, -1])
 
 
 def test_character_is_multiplicative():
     cs = make_clock(4)
-    assert verify_multiplicative_character(cs, character_vector(Character(4, 1)))
+    assert verify_multiplicative_character(cs, character_vector(4, 1))
 
 
 def test_non_character_rejected():
@@ -116,7 +109,7 @@ def test_hopf_law_fails_with_corrupted_antipode():
 
 @pytest.mark.parametrize("N", range(1, 17))
 def test_characters_orthogonal_with_norm_N(N):
-    cols = np.column_stack([character_vector(Character(N, E)) for E in range(N)])
+    cols = np.column_stack([character_vector(N, E) for E in range(N)])
     gram = cols.conj().T @ cols
     assert np.max(np.abs(gram - N * np.eye(N))) < 1e-9
 
@@ -125,7 +118,7 @@ def test_characters_orthogonal_with_norm_N(N):
 def test_group_comult_copies_characters(N):
     cs = dense_maps(make_clock(N))
     for E in range(N):
-        chi = character_vector(Character(N, E))
+        chi = character_vector(N, E)
         copied = cs.group_comult @ chi
         assert np.max(np.abs(copied - np.kron(chi, chi))) < 1e-9
         # adjoint statement: adding a character to itself scales it by N
@@ -138,9 +131,9 @@ def test_time_match_is_pointwise_character_multiplication(N):
     for E in range(N):
         for F in range(N):
             prod = cs.time_match @ np.kron(
-                character_vector(Character(N, E)), character_vector(Character(N, F))
+                character_vector(N, E), character_vector(N, F)
             )
-            expected = character_vector(Character(N, (E + F) % N))
+            expected = character_vector(N, (E + F) % N)
             assert np.max(np.abs(prod - expected)) < 1e-9
 
 
@@ -148,7 +141,7 @@ def test_time_match_is_pointwise_character_multiplication(N):
 def test_antipode_conjugates_characters(N):
     cs = dense_maps(make_clock(N))
     for E in range(N):
-        chi = character_vector(Character(N, E))
+        chi = character_vector(N, E)
         assert np.max(np.abs(cs.antipode @ chi - chi.conj())) < 1e-9
 
 
@@ -189,3 +182,96 @@ def test_bialgebra_daggered_form_between_comultiplications():
     mid = tensor(tensor(np.eye(4), swap_map(4, 4)), np.eye(4))
     rhs = tensor(cs.time_match, cs.time_match) @ mid @ tensor(cs.group_comult, cs.group_comult)
     assert np.array_equal(lhs, rhs)
+
+
+# -- the addition laws, a block of p at a time
+
+
+@pytest.fixture
+def restore_cap():
+    before = linalg.max_entries()
+    yield
+    linalg.set_max_entries(before)
+
+
+def law_case(N: int, kind: str, rng):
+    if kind == "exact":
+        return make_clock(N)
+    if kind == "perturbed":
+        return perturbed_clock(N, rng)
+    return wrong_clocks(N)[kind]
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    N=st.integers(1, 40),
+    kind=st.sampled_from(["exact", "perturbed", *wrong_clocks(3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocks_of_p_report_as_under_the_default_cap(restore_cap, N, kind, seed):
+    assume(N > 1 or kind in ("exact", "perturbed"))  # C^1 has no wrong unit target
+    linalg.set_max_entries(linalg.DEFAULT_MAX_ENTRIES)
+    cs = law_case(N, kind, np.random.default_rng(seed))
+    want = verify_strong_complementarity(cs)
+    # one p per block, and blocks of three p with a partial last block
+    for cap in (N * N, 3 * N * N):
+        linalg.set_max_entries(cap)
+        assert verify_strong_complementarity(cs) == want, cap
+
+
+def s3_clock():
+    """The clock on C^6 with S_3 as its addition table: identity first, inverse as antipode."""
+    perms = list(itertools.permutations(range(3)))
+    index = {p: n for n, p in enumerate(perms)}
+    mult = [[index[tuple(a[i] for i in b)] for b in perms] for a in perms]
+    inverse = [index[tuple(np.argsort(a))] for a in perms]
+    cs = make_clock(6)
+    return replace(
+        cs,
+        group_mult=Table(np.array(mult), cs.group_mult.value),
+        antipode=Table(np.array(inverse), cs.antipode.value),
+    )
+
+
+def failures(report) -> list:
+    return [(c.name, c.max_error) for c in report.checks if not c.passed]
+
+
+def test_s3_fails_only_commutativity():
+    cs = s3_clock()
+    report = verify_strong_complementarity(cs)
+    assert_agrees(report, oracle_structure_laws(cs))
+    assert failures(report) == [("group_commutativity", 1.0)]
+
+
+def test_max_on_z5_goes_through_the_keyed_terms():
+    # max(p, .) is no permutation for p > 0
+    cs, t = make_clock(5), np.arange(5)
+    cs = replace(cs, group_mult=Table(np.maximum.outer(t, t), cs.group_mult.value))
+    report = verify_strong_complementarity(cs)
+    assert_agrees(report, oracle_structure_laws(cs))
+    assert failures(report) == [
+        ("group_frobenius", 4.0),
+        ("group_quasi_speciality_factor_N", 4.0),
+        ("hopf_law", 1.0),
+    ]
+
+
+def test_clock_laws_make_as_many_passes_at_n_64_as_at_n_4(monkeypatch):
+    # a per-p loop would call residual and _join about N times
+    counts = Counter()
+    for name in ("residual", "_join"):
+
+        def counted(*args, _f=getattr(clock, name), _name=name):
+            counts[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(clock, name, counted)
+    seen = []
+    for N in (4, 64):
+        counts.clear()
+        assert verify_strong_complementarity(make_clock(N)).max_error == 0.0
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]

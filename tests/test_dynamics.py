@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import X, Z, phase_matrix, shift_matrix
+from conftest import X, Z, character_vector, phase_matrix, shift_matrix
 from qclock import sampling
-from qclock.clock import Character, character_vector
 from qclock.dynamics import (
     UnitaryDynamic,
     _action_sweep,
@@ -254,7 +253,7 @@ def test_time_average_is_ground_projector(random_family):
 
 def test_fourier_examples():
     assert np.allclose(fourier_transform([1, 1]), [1, 0])
-    chi1 = character_vector(Character(4, 1))
+    chi1 = character_vector(4, 1)
     assert np.allclose(fourier_transform(chi1), [0, 1, 0, 0], atol=1e-12)
     uniform = fourier_transform([1, 0, 0, 0])
     assert np.allclose(uniform, np.full(4, 0.25))
@@ -278,7 +277,7 @@ def test_clock_dynamic_spectrum_is_character_resolution():
         p = spec.projectors[E]
         assert abs(np.trace(p) - 1) < 1e-9
         # rank-1 onto the character direction conjugate to E
-        chi = character_vector(Character(N, (-E) % N))
+        chi = character_vector(N, (-E) % N)
         expected = np.outer(chi, chi.conj()) / N
         assert np.max(np.abs(p - expected)) < 1e-9
 

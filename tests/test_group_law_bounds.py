@@ -136,7 +136,8 @@ def test_translation_bound_covers_the_sweep(N, dim, seed, perturbation, on_state
     assert bound >= exact
     ok, err = is_em_morphism(History(N, dim, states), UnitaryDynamic(N, dim, U))
     assert ok == (exact <= EPS)
-    assert err == reported(bound, exact)
+    # up to SWEEP_MAX_SIZE the sweep is the cheaper of the two and always reports
+    assert err == (exact if N * dim <= dynamics.SWEEP_MAX_SIZE else reported(bound, exact))
 
 
 def weyl_pair(N: int, rng) -> tuple[UnitaryDynamic, UnitaryDynamic]:

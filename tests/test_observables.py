@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import X, Z, count_spectra, dense_maps, phase_matrix, shift_matrix
+from conftest import X, Z, character_vector, count_spectra, dense_maps, phase_matrix, shift_matrix
 from qclock import observables
-from qclock.clock import Character, character_vector, make_clock
+from qclock.clock import make_clock
 from qclock.dynamics import (
     ProjectionSpectrum,
     UnitaryDynamic,
@@ -170,7 +170,7 @@ def test_character_states_unbiased_in_time_basis():
     cs = make_clock(N)
     tobs = time_observable(cs)
     for E in range(N):
-        chi = character_vector(Character(N, E)) / np.sqrt(N)
+        chi = character_vector(N, E) / np.sqrt(N)
         assert np.allclose(demolition_measurement(tobs, chi), np.full(N, 1 / N))
 
 
