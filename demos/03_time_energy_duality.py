@@ -4,23 +4,15 @@ On the clock space itself, ticking forward (the cyclic shift) and phase
 multiplication by a character form the canonical commuting pair:
 V_E U_t = chi_E(t) U_t V_E.  The price of that relation is complete
 ignorance across the dual bases: every eigenstate of one family is
-uniformly distributed when measured with the other's observable.
+uniformly distributed when measured in the other's eigenbasis,
+|<y_F|x_E>|^2 = 1/N.
 """
 
 import numpy as np
 
-from qclock import (
-    demolition_measurement,
-    dynamic_from_generator,
-    make_clock,
-    observable_from_spectrum,
-    time_observable,
-    uncertainty_check,
-    weyl_ccr_check,
-)
+from qclock import dynamic_from_generator, uncertainty_check, weyl_ccr_check
 
 N = 5
-cs = make_clock(N)
 shift = np.roll(np.eye(N, dtype=complex), 1, axis=0)
 phase = np.diag(np.exp(2j * np.pi * np.arange(N) / N))
 
@@ -31,12 +23,9 @@ print(weyl_ccr_check(dU, dV).summary())
 print()
 print(uncertainty_check(dU, dV).summary())
 
-print("\na tick state measured against the shift's energy observable:")
-obs_u = observable_from_spectrum(dU.spectrum)
-tick = np.zeros(N, dtype=complex)
-tick[2] = 1.0
-print(f"  weights: {np.round(demolition_measurement(obs_u, tick), 6)}")
-
-print("\na character state measured in the tick basis:")
-chi = np.exp(2j * np.pi * np.arange(N) / N) / np.sqrt(N)
-print(f"  weights: {np.round(demolition_measurement(time_observable(cs), chi), 6)}")
+X, x_labels = dU.spectrum.eigenbasis  # the shift's energy eigenstates: characters
+Y, y_labels = dV.spectrum.eigenbasis  # the phase's: the tick states
+weights = np.abs(np.conj(Y.T) @ X) ** 2  # row F, column E: |<y_F|x_E>|^2
+print(f"\nweights |<y_F|x_E>|^2, rows F = {y_labels.tolist()}, columns E = {x_labels.tolist()}:")
+print(np.round(weights, 6))
+print(f"  largest distance from 1/N: {np.max(np.abs(weights - 1 / N)):.2e}")

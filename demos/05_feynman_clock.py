@@ -14,7 +14,6 @@ from qclock import (
     composite_dynamic,
     cyclify,
     feynman_check,
-    ground_space,
     history_state,
     make_circuit,
 )
@@ -40,7 +39,8 @@ print(f"  ground dimension {facts['ground_dim']} (system dimension {facts['expec
 cycle = rep.check("cycle_product_is_identity").max_error
 print(f"  cycle product off the identity by {cycle:.2e}, pass={rep.passed}")
 
-q = ground_space(composite_dynamic(c6))  # orthonormal columns
+W, labels = composite_dynamic(c6).spectrum.eigenbasis
+q = W[:, labels == 0]  # the ground space: orthonormal columns at energy 0
 psi = rng.normal(size=4) + 1j * rng.normal(size=4)
 psi /= np.linalg.norm(psi)
 hist = history_state(c6, psi)

@@ -2,11 +2,11 @@
 
 The package builds the interacting pair of algebras carried by a size-N
 clock space, unitary Z/N dynamics with their projector-valued energy
-spectra, clock-valued observables with demolition measurements and the
-Weyl/unbiasedness duality, state histories and their spectral solutions,
-cyclic circuits with the clock-register (history-state) construction, and
-clock synchronisation with energy conservation, internal time observables
-and dynamic descent.
+spectra and eigenbases, the Weyl/unbiasedness duality read off two
+eigenbases, state histories and their spectral solutions, cyclic circuits
+with the clock-register (history-state) construction, and clock
+synchronisation with energy conservation, internal time observables and
+dynamic descent.
 """
 
 from .clock import (
@@ -18,8 +18,6 @@ from .clock import (
 from .dynamics import (
     ProjectionSpectrum,
     UnitaryDynamic,
-    clock_dynamic,
-    constant_dynamic,
     dynamic_from_generator,
     fourier_transform,
     hamiltonian,
@@ -34,12 +32,10 @@ from .errors import (
     AxiomsViolatedError,
     DegenerateError,
     DimensionCapError,
-    DistributionError,
     IncompleteSpectrumError,
     InputFormatError,
     NotASubgroupError,
     NotCyclicError,
-    NotNormalisedError,
     NotPeriodicError,
     NotUnitaryError,
     OrthogonalEigenstateError,
@@ -52,7 +48,6 @@ from .feynman import (
     cycle_product,
     cyclify,
     feynman_check,
-    ground_space,
     history_state,
     make_circuit,
 )
@@ -65,17 +60,7 @@ from .histories import (
     schrodinger_solve,
 )
 from .linalg import DEFAULT_TOL, Tolerance
-from .observables import (
-    GROUP_FLAVOUR,
-    TIME_FLAVOUR,
-    Observable,
-    demolition_measurement,
-    observable_checks,
-    observable_from_spectrum,
-    time_observable,
-    uncertainty_check,
-    weyl_ccr_check,
-)
+from .observables import uncertainty_check, weyl_ccr_check
 from .reports import Check, Report
 from .sync import (
     EnergyFamily,
@@ -86,7 +71,6 @@ from .sync import (
     dynamic_descent,
     internal_time_check,
     internal_time_observable,
-    is_nondegenerate,
     synchronized_family,
     synchronized_pair,
 )

@@ -115,11 +115,38 @@ class ProjectionSpectrum:
         table[np.arange(n)[:, None] > np.arange(n)] = 0.0  # a batch's own lower pairs
         return table
 
+    @cached_property
+    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
+        """(W, labels): orthonormal columns spanning each supported P_E, and each column's E.
 
-def constant_dynamic(N: int, dim: int) -> UnitaryDynamic:
-    """The trivial dynamic: every U_t is the identity."""
-    stack = np.broadcast_to(identity(dim), (N, dim, dim)).copy()
-    return UnitaryDynamic(N=N, dim=dim, unitaries=stack)
+        A level is pivoted Gram-Schmidt on P_E, up to ``ranks[E]`` columns:
+        the largest-norm column over its own norm, with the phase of its
+        largest entry removed, and the rest of P_E projected off it only when
+        another column follows.  A residual column norm at or below
+        ``SUPPORT_THRESHOLD`` ends the level.  Columns are in support order,
+        and W is read-only.
+        """
+        cols, labels = [], []
+        for E, rank in self.ranks.items():
+            work = self.projectors[E]
+            for k in range(rank):
+                norms = np.linalg.norm(work, axis=0)
+                pivot = int(np.argmax(norms))
+                if norms[pivot] <= SUPPORT_THRESHOLD:
+                    break
+                v = work[:, pivot]
+                v = v / np.linalg.norm(v)
+                lead = int(np.argmax(np.abs(v)))
+                v = v / (v[lead] / abs(v[lead]))
+                cols.append(v)
+                labels.append(E)
+                if k + 1 < rank:
+                    work = work - np.outer(v, v.conj() @ work)
+        W = np.column_stack(cols) if cols else np.zeros((self.dim, 0), dtype=np.complex128)
+        W.flags.writeable = False
+        labels = np.array(labels, dtype=np.int64)
+        labels.flags.writeable = False
+        return W, labels
 
 
 def dynamic_from_generator(
@@ -150,12 +177,6 @@ def dynamic_from_generator(
             f"its eigenphases are not {N}-th roots of unity"
         )
     return UnitaryDynamic(N=N, dim=dim, unitaries=stack)
-
-
-def clock_dynamic(N: int) -> UnitaryDynamic:
-    """The clock acting on itself: U_t is cyclic shift by t."""
-    shift = np.roll(identity(N), 1, axis=0)
-    return dynamic_from_generator(shift, N)
 
 
 #: Up to this N dim the action sweep, one (N dim)^2 product, costs less than

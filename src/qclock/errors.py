@@ -31,14 +31,6 @@ class IncompleteSpectrumError(QClockError):
     """Projector family does not sum to the identity within tolerance."""
 
 
-class NotNormalisedError(QClockError):
-    """State vector is not normalised within tolerance."""
-
-
-class DistributionError(QClockError):
-    """Measurement weights are not a genuine probability distribution."""
-
-
 class DegenerateError(QClockError):
     """Dynamic has an eigenspace of dimension greater than one."""
 

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .dynamics import UnitaryDynamic, time_average
+from .dynamics import UnitaryDynamic
 from .errors import NotCyclicError, NotUnitaryError, ShapeMismatchError
 from .linalg import DEFAULT_TOL, SUPPORT_THRESHOLD, Tolerance, as_tolerance, identity
 from .reports import Check, Report
@@ -121,11 +121,6 @@ def _history(c: CyclicCircuit, psi0: np.ndarray) -> np.ndarray:
     for t in range(1, c.N):
         cols[:, t] = c.gates[t] @ cols[:, t - 1]
     return cols.reshape(-1)  # index = h * N + t
-
-
-def ground_space(d: UnitaryDynamic) -> np.ndarray:
-    """Orthonormal basis (columns) of the joint fixed points: the time average's range."""
-    return linalg.orthonormal_range(time_average(d))
 
 
 def feynman_check(

@@ -57,11 +57,12 @@ DEFAULT_TOL = Tolerance()
 
 # Fixed floors: they decide what counts as zero, and no caller sets them.
 
-#: A projector's largest entry (its peak), or a residual column norm in
-#: ``orthonormal_range``, at or below this is zero.  Entries of a vanishing
-#: projector are averages of N roots of unity, around 1e-15 at desk scale.
+#: A projector's largest entry (its peak), or a residual column norm while a
+#: spectrum's eigenbasis is built, at or below this is zero.  Entries of a
+#: vanishing projector are averages of N roots of unity, around 1e-15 at
+#: desk scale.
 SUPPORT_THRESHOLD = 1e-7
-#: Roundoff floor for a state norm or a distribution weight.
+#: Roundoff floor for a state norm or an overlap.
 ZERO_NORM = 1e-12
 #: The self-test judges every suite at no less than this.
 SELF_TEST_FLOOR = 1e-8
@@ -144,35 +145,3 @@ def unitarity_residual(stack: np.ndarray) -> np.ndarray:
         return np.full(stack.shape[:-2], np.inf)
     gram = stack @ np.conj(np.swapaxes(stack, -1, -2))
     return np.abs(gram - identity(rows)).max(axis=(-2, -1), initial=0.0)
-
-
-def rank1_eigvec(p: np.ndarray) -> np.ndarray:
-    """Unit vector spanning a rank-1 projector, phase fixed deterministically."""
-    col = int(np.argmax(np.linalg.norm(p, axis=0)))
-    v = p[:, col]
-    v = v / np.linalg.norm(v)
-    lead = int(np.argmax(np.abs(v)))
-    phase = v[lead] / abs(v[lead])
-    return v / phase
-
-
-def orthonormal_range(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column space, via pivoted modified Gram-Schmidt.
-
-    Columns whose residual norm is at most ``SUPPORT_THRESHOLD`` are treated as
-    dependent.  Adequate for (near-)projectors, where the spectrum is far from
-    the threshold; no general eigensolver involved.
-    """
-    work = as_matrix(mat).copy()
-    basis: list[np.ndarray] = []
-    for _ in range(min(work.shape)):
-        norms = np.linalg.norm(work, axis=0)
-        pivot = int(np.argmax(norms))
-        if norms[pivot] <= SUPPORT_THRESHOLD:
-            break
-        q = work[:, pivot] / norms[pivot]
-        basis.append(q)
-        work -= np.outer(q, q.conj() @ work)
-    if not basis:
-        return np.zeros((mat.shape[0], 0), dtype=np.complex128)
-    return np.column_stack(basis)

@@ -1,157 +1,21 @@
-"""Clock-valued observables, demolition measurements, Weyl pairs.
+"""The time/energy duality of two Z/N dynamics: Weyl pairs and mutual unbias.
 
-An observable here is a map H -> H (x) T whose clock leg records outcomes:
-writing it in blocks A_t (so the map is sum_t A_t (x) |t>), the three
-defining identities say the family is self-adjoint under the clock bend,
-copied by the labelling structure's comultiplication, and erased to the
-identity by its counit.  Energy observables are exactly the adjoints of
-unitary dynamics; for the clock acting on itself the energy observable is
-the addition comultiplication.
+A pair (U, V) is a Weyl pair when V_E U_t = chi_E(t) U_t V_E on the labels
+each family actually has.  Its price is mutual unbias: an eigenstate of V
+measured in the energy eigenbasis of U gives every outcome with weight
+1/N, so |<y_F|x_E>|^2 = 1/N for the two eigenbases.  Both are read off the
+families and their kept spectra alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal
-
 import numpy as np
 
 from . import linalg
-from .clock import ClockStructures
-from .dynamics import (
-    ProjectionSpectrum,
-    UnitaryDynamic,
-    _power_bounds,
-    fourier_transform,
-    inverse_fourier_transform,
-)
-from .errors import (
-    DistributionError,
-    IncompleteSpectrumError,
-    NotNormalisedError,
-    ShapeMismatchError,
-)
-from .linalg import DEFAULT_TOL, ZERO_NORM, Tolerance, as_tolerance, identity
+from .dynamics import UnitaryDynamic, _power_bounds
+from .errors import IncompleteSpectrumError, ShapeMismatchError
+from .linalg import DEFAULT_TOL, Tolerance, as_tolerance
 from .reports import Check, Report
-
-TIME_FLAVOUR = "time-structure"
-GROUP_FLAVOUR = "group-structure"
-
-
-@dataclass(frozen=True)
-class Observable:
-    """Outcome-recording map H -> H (x) T with its labelling flavour."""
-
-    N: int
-    dim: int
-    map: np.ndarray  # shape (dim * N, dim), row index = h * N + t
-    flavour: Literal["time-structure", "group-structure"]
-
-
-def observable_from_spectrum(
-    s: ProjectionSpectrum, tol: Tolerance | float = DEFAULT_TOL
-) -> Observable:
-    """Energy observable of a projector family.
-
-    The clock leg of the E-labelled projector carries the ket representing
-    the energy functional chi_E, i.e. the column with entries
-    conj(chi_E(t)); equivalently the whole map is sum_t U_t^dag (x) |t>,
-    the adjoint of the dynamic.  For the clock's own spectrum this is
-    exactly the addition comultiplication.
-    """
-    if s.completeness > as_tolerance(tol).eps:
-        raise IncompleteSpectrumError(
-            f"projectors sum to identity only within {s.completeness:.3e}"
-        )
-    # map[h*N + t, h'] = sum_E P_E[h, h'] * conj(chi_E(t)), a forward transform over E
-    blocks = s.N * fourier_transform(s.projectors)
-    m = np.transpose(blocks, (1, 0, 2)).reshape(s.dim * s.N, s.dim)
-    return Observable(N=s.N, dim=s.dim, map=m, flavour=GROUP_FLAVOUR)
-
-
-def time_observable(cs: ClockStructures) -> Observable:
-    """The clock's tick observable: the copying map, built out from its table."""
-    N = cs.N
-    linalg.check_entries(N * N, N)
-    m = np.zeros((N * N, N), dtype=np.complex128)
-    m[cs.time_copy.target, np.arange(N)] = cs.time_copy.value
-    return Observable(N=N, dim=N, map=m, flavour=TIME_FLAVOUR)
-
-
-def observable_checks(
-    o: Observable, cs: ClockStructures, tol: Tolerance | float = DEFAULT_TOL
-) -> Report:
-    """The three defining identities, on the flavour's structure tables."""
-    if o.N != cs.N:
-        raise ShapeMismatchError(f"observable over Z/{o.N} but clock of size {cs.N}")
-    eps = as_tolerance(tol).eps
-    N = o.N
-    blocks = np.transpose(o.map.reshape(o.dim, N, o.dim), (1, 0, 2))  # clock-leg blocks A_t
-
-    if o.flavour == GROUP_FLAVOUR:  # the adjoints of the addition and unit tables
-        source, pairs, weight = cs.group_mult.terms()
-        weight, at, counit = np.conj(weight), cs.group_unit.target, np.conj(cs.group_unit.value)
-        bent = blocks[(-np.arange(N)) % N]  # the addition's antipode is time inversion
-    else:  # the copy and delete tables; every delete target is 0
-        pairs, source, weight = cs.time_copy.terms()
-        at, counit = np.arange(N), cs.time_delete.value
-        bent = blocks  # tick states are self-conjugate, so the tick antipode is trivial
-
-    adj = np.conj(np.transpose(blocks, (0, 2, 1)))
-    self_adjoint = float(np.max(np.abs(bent - adj))) if blocks.size else 0.0
-
-    # idempotence: A_t A_u against sum_x comult[t*N + u, x] A_x, one t at a time
-    idempotent = 0.0
-    for t in range(N):
-        sel = pairs // N == t
-        copied = np.zeros_like(blocks)
-        np.add.at(copied, pairs[sel] % N, weight[sel, None, None] * blocks[source[sel]])
-        idempotent = max(idempotent, linalg.max_abs_diff(blocks[t] @ blocks, copied))
-    complete = linalg.max_abs_diff(np.tensordot(counit, blocks[at], axes=1), identity(o.dim))
-
-    return Report(
-        title=f"observable identities ({o.flavour}, N={o.N}, dim={o.dim})",
-        checks=(
-            Check("self_adjointness", self_adjoint, eps),
-            Check("idempotence", idempotent, eps),
-            Check("completeness", complete, eps),
-        ),
-    )
-
-
-def demolition_measurement(
-    o: Observable, psi, tol: Tolerance | float = DEFAULT_TOL
-) -> np.ndarray:
-    """Outcome distribution of measuring |psi> with the observable.
-
-    The raw clock-leg vector <psi| o |psi> is read off against the outcome
-    labels: tick labels directly, energy labels through the character
-    functionals with the 1/N factor the quasi-special structure requires.
-    Tiny negative weights (roundoff) are clamped to zero; anything worse
-    raises.
-    """
-    psi = linalg.as_state(psi, o.dim, "observable")
-    eps = as_tolerance(tol).eps
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > eps:
-        raise NotNormalisedError(f"|psi| = {norm:.12f}")
-
-    raw = (o.map @ psi).reshape(o.dim, o.N)
-    clock_leg = psi.conj() @ raw  # length-N vector on the clock factor
-    if o.flavour == GROUP_FLAVOUR:
-        weights = inverse_fourier_transform(clock_leg) / o.N
-    else:
-        weights = clock_leg
-
-    if np.max(np.abs(weights.imag)) > 10 * max(eps, ZERO_NORM):
-        raise DistributionError(
-            f"weights have imaginary part up to {np.max(np.abs(weights.imag)):.3e}"
-        )
-    w = weights.real.copy()
-    if np.min(w) < -ZERO_NORM:
-        raise DistributionError(f"weight {np.min(w):.3e} below negativity threshold")
-    w[w < 0.0] = 0.0
-    return w
 
 
 def weyl_ccr_check(
@@ -229,37 +93,49 @@ def uncertainty_check(
     dV: UnitaryDynamic,
     tol: Tolerance | float = DEFAULT_TOL,
 ) -> Report:
-    """Eigenstates of the second family are unbiased for the first's observable.
+    """Eigenstates of the second family are unbiased for the first's energy.
 
-    Every eigenstate of dV's spectrum, measured with dU's energy observable,
-    must give the uniform distribution 1/N.  Rank-1 eigenspaces contribute
-    their (unique) eigenstate; higher-rank ones a random unit vector, drawn
-    from seed 0, since the statement quantifies over all eigenstates.
+    With X and Y the two kept eigenbases (``ProjectionSpectrum.eigenbasis``)
+    and O = Y^dag X, the check for V-label F is the largest over E of
+    ||O_FE O_FE^dag - I/N||, which is the largest |<phi|P_E|phi> - 1/N| over
+    unit phi in the F eigenspace: |<y_F|x_E>|^2 - 1/N at rank 1.  A label E
+    with no eigenvector of U, or a level F with fewer eigenvectors than its
+    rank (and at least one), reads at least 1/N.
     """
     weyl = weyl_ccr_check(dU, dV, tol)
     eps = as_tolerance(tol).eps
-    rng = np.random.default_rng(0)
-    N, spec_v = dU.N, dV.spectrum
-    obs = observable_from_spectrum(dU.spectrum, tol)
-    checks = [Check("weyl_precondition", weyl.max_error, eps)]
-    notes = list(weyl.notes)
-
-    uniform = np.full(N, 1.0 / N)
-    for label, rank in spec_v.ranks.items():
-        p = spec_v.projectors[label]
-        if rank == 1:
-            psi = linalg.rank1_eigvec(p)
-        else:
-            psi = p @ (rng.normal(size=dV.dim) + 1j * rng.normal(size=dV.dim))
-            psi = psi / np.linalg.norm(psi)
-            notes.append(f"label {label}: rank {rank} eigenspace, random representative")
-        dist = demolition_measurement(obs, psi, tol)
-        checks.append(
-            Check(f"uniformity_label_{label}", linalg.max_abs_diff(dist, uniform), eps)
+    N, spec_u, spec_v = dU.N, dU.spectrum, dV.spectrum
+    if spec_u.completeness > eps:
+        raise IncompleteSpectrumError(
+            f"projectors sum to identity only within {spec_u.completeness:.3e}"
         )
+    X, x_labels = spec_u.eigenbasis
+    Y, y_labels = spec_v.eigenbasis
+    overlap = np.conj(Y.T) @ X
+    starts = np.flatnonzero(np.diff(x_labels, prepend=-1))  # each U level's first column
+    missing = 1.0 / N if len(starts) < N else 0.0  # a label E where p_E vanishes
 
+    # the levels of V, grouped by their number of columns n: per level F, the
+    # products O_Fc O_Fc^dag over U columns c, summed over each U level, less
+    # I/N, then their eigenvalues; no array exceeds dim^3 entries
+    levels, first, count = np.unique(y_labels, return_index=True, return_counts=True)
+    errors = {}
+    for n in np.unique(count):
+        pick = count == n
+        rows = overlap[first[pick][:, None] + np.arange(n)]  # (levels, n, U columns)
+        gram = np.add.reduceat(rows[:, :, None] * np.conj(rows[:, None]), starts, axis=3)
+        gram[:, np.arange(n), np.arange(n)] -= 1.0 / N
+        size = np.abs(np.linalg.eigvalsh(np.moveaxis(gram, 3, 1))).max(axis=(1, 2), initial=0.0)
+        errors.update(zip(levels[pick].tolist(), size.tolist()))
+    columns = dict(zip(levels.tolist(), count.tolist()))
+
+    checks = [Check("weyl_precondition", weyl.max_error, eps)]
+    for F, rank in spec_v.ranks.items():
+        short = 1.0 / N if columns.get(F, 0) < max(rank, 1) else 0.0
+        error = max(errors.get(F, 0.0), missing, short)
+        checks.append(Check(f"uniformity_label_{F}", error, eps))
     return Report(
         title=f"unbiasedness (N={N}, dim={dU.dim})",
         checks=tuple(checks),
-        notes=tuple(notes),
+        notes=weyl.notes,
     )

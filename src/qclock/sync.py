@@ -164,7 +164,8 @@ class EnergyFamily:
         rank = spec.ranks.get(E, 0)
         if rank != 1:
             raise DegenerateError(f"system {j} has rank-{rank} projector at energy {Eprime}")
-        phi = linalg.rank1_eigvec(spec.projectors[E])
+        W, labels = spec.eigenbasis
+        phi = W[:, int(np.searchsorted(labels, E))]
         overlap = complex(np.vdot(phi, self.comps[j][E]))
         if abs(overlap) <= ZERO_NORM:
             raise OrthogonalEigenstateError(
@@ -198,11 +199,6 @@ def _proportionality_residual(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b * (np.vdot(b, a) / nb**2))) / na
 
 
-def is_nondegenerate(d: UnitaryDynamic) -> bool:
-    """True iff every supported projector has rank 1 and they number dim."""
-    return _degeneracy(d) == 0
-
-
 def _degeneracy(d: UnitaryDynamic) -> int:
     """Zero iff there are dim levels, all of rank 1; else a positive count.
 
@@ -222,8 +218,8 @@ def demolition_hamiltonian(d: UnitaryDynamic) -> list[tuple[np.ndarray, int]]:
     """One normalised eigenvector per supported energy, labels injective."""
     if _degeneracy(d):
         raise DegenerateError("dynamic has a degenerate energy level")
-    spec = d.spectrum
-    return [(linalg.rank1_eigvec(spec.projectors[E]), E) for E in spec.support]
+    W, labels = d.spectrum.eigenbasis
+    return [(W[:, k], int(E)) for k, E in enumerate(labels)]
 
 
 def internal_time_observable(d: UnitaryDynamic) -> InternalClockDescriptor:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qclock import linalg, sampling
+from qclock.dynamics import UnitaryDynamic, dynamic_from_generator
 from qclock.errors import ShapeMismatchError
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -70,6 +71,64 @@ def dense_maps(cs) -> SimpleNamespace:
         group_counit=unit.conj().T,
         antipode=dense(cs.antipode, N),
     )
+
+
+def constant_dynamic(N: int, dim: int):
+    """The trivial dynamic: every U_t is the identity."""
+    stack = np.broadcast_to(np.eye(dim, dtype=complex), (N, dim, dim)).copy()
+    return UnitaryDynamic(N=N, dim=dim, unitaries=stack)
+
+
+def clock_dynamic(N: int):
+    """The clock acting on itself: U_t is cyclic shift by t."""
+    return dynamic_from_generator(shift_matrix(N), N)
+
+
+def is_nondegenerate(d) -> bool:
+    """True iff every supported projector has rank 1 and they number dim."""
+    spec = d.spectrum
+    return len(spec.support) == d.dim and all(r == 1 for r in spec.ranks.values())
+
+
+def rank1_eigvec(p: np.ndarray) -> np.ndarray:
+    """Unit vector spanning a rank-1 projector, phase fixed deterministically.
+
+    The oracle for a rank-1 level of ``ProjectionSpectrum.eigenbasis``.
+    """
+    col = int(np.argmax(np.linalg.norm(p, axis=0)))
+    v = p[:, col]
+    v = v / np.linalg.norm(v)
+    lead = int(np.argmax(np.abs(v)))
+    phase = v[lead] / abs(v[lead])
+    return v / phase
+
+
+def energy_observable(d) -> np.ndarray:
+    """The energy observable of a dynamic as the map sum_t U_t^dag (x) |t>: H -> H (x) T.
+
+    A (dim N) x dim matrix with row index h N + t; for the clock's own
+    dynamic it is the addition comultiplication.
+    """
+    adjoints = np.conj(np.transpose(d.unitaries, (0, 2, 1)))  # [t, h, h']
+    return np.transpose(adjoints, (1, 0, 2)).reshape(d.dim * d.N, d.dim)
+
+
+def tick_observable(cs) -> np.ndarray:
+    """The clock's tick observable: its copying map, N^2 x N."""
+    return dense(cs.time_copy, cs.N * cs.N)
+
+
+def outcome_weights(m: np.ndarray, psi, energy: bool) -> np.ndarray:
+    """Outcome distribution of measuring psi with an observable map.
+
+    The clock leg c(t) = <psi| m |psi>_t is read against tick labels
+    directly, and against energy labels through the characters:
+    p_E = (1/N) sum_t chi_E(t) c(t).
+    """
+    psi = np.asarray(psi, dtype=complex)
+    N = m.shape[0] // m.shape[1]
+    clock_leg = psi.conj() @ (m @ psi).reshape(m.shape[1], N)
+    return (character_matrix(N).T @ clock_leg / N if energy else clock_leg).real
 
 
 def character_matrix(N: int) -> np.ndarray:

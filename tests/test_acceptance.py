@@ -11,13 +11,21 @@ import sys
 
 import numpy as np
 
-from conftest import X, character_vector, dense_maps, phase_matrix, shift_matrix
-from test_feynman import dense_fixed_dim, oracle_composite
+from conftest import (
+    X,
+    character_vector,
+    clock_dynamic,
+    dense_maps,
+    energy_observable,
+    outcome_weights,
+    phase_matrix,
+    shift_matrix,
+)
+from test_feynman import dense_fixed_dim, ground_columns, oracle_composite
 from test_sync_oracle import collapse
 from qclock import sampling
 from qclock.clock import make_clock, verify_strong_complementarity
 from qclock.dynamics import (
-    clock_dynamic,
     dynamic_from_generator,
     hamiltonian,
     spectral_projector,
@@ -26,14 +34,9 @@ from qclock.dynamics import (
     validate_dynamic,
 )
 from qclock.errors import NotASubgroupError, OrthogonalEigenstateError
-from qclock.feynman import composite_dynamic, feynman_check, ground_space, history_state, make_circuit
+from qclock.feynman import composite_dynamic, feynman_check, history_state, make_circuit
 from qclock.histories import history_from_state, is_em_morphism, reconstruct_history, schrodinger_solve
-from qclock.observables import (
-    demolition_measurement,
-    observable_from_spectrum,
-    uncertainty_check,
-    weyl_ccr_check,
-)
+from qclock.observables import uncertainty_check, weyl_ccr_check
 from qclock.serialize import array_to_json
 from qclock.sync import EnergyFamily, dynamic_descent, internal_time_observable
 
@@ -111,13 +114,13 @@ def test_criterion_05_weyl_and_uncertainty():
         worst_weyl = max(worst_weyl, weyl_ccr_check(dU, dV).max_error)
 
         # character eigenstates of the shift, measured in the tick basis
-        obs_v = observable_from_spectrum(hamiltonian(dV))
+        obs_v = energy_observable(dV)
         spec_u = hamiltonian(dU)
         for E in spec_u.support:
             p = spec_u.projectors[E]
             col = int(np.argmax(np.linalg.norm(p, axis=0)))
             psi = p[:, col] / np.linalg.norm(p[:, col])
-            dist = demolition_measurement(obs_v, psi)
+            dist = outcome_weights(obs_v, psi, energy=True)
             worst_uniform = max(
                 worst_uniform, float(np.max(np.abs(dist - 1.0 / N)))
             )
@@ -181,7 +184,7 @@ def test_criterion_07_feynman_clock():
     golden = make_circuit([X, X])
     h = history_state(golden, E0)
     golden_ok = np.allclose(h, [1, 0, 0, 1])
-    q = ground_space(composite_dynamic(golden))
+    q = ground_columns(composite_dynamic(golden))
     proj = q @ (q.conj().T @ (h / np.linalg.norm(h)))
     golden_ok = golden_ok and np.max(np.abs(proj - h / np.linalg.norm(h))) < 1e-9
 

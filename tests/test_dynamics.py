@@ -6,13 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import X, Z, character_vector, phase_matrix, shift_matrix
-from qclock import sampling
-from qclock.dynamics import (
-    UnitaryDynamic,
-    _action_sweep,
+from conftest import (
+    X,
+    Z,
+    character_vector,
     clock_dynamic,
     constant_dynamic,
+    phase_matrix,
+    rank1_eigvec,
+    shift_matrix,
+)
+from qclock import sampling
+from qclock.dynamics import (
+    ProjectionSpectrum,
+    UnitaryDynamic,
+    _action_sweep,
     dynamic_from_generator,
     fourier_transform,
     hamiltonian,
@@ -192,6 +200,51 @@ def test_hamiltonian_support():
     w6 = np.exp(2j * np.pi / 6)
     spec6 = hamiltonian(dynamic_from_generator(np.diag([1, w6**2]), 6))
     assert spec6.support == (0, 2)
+
+
+def test_eigenbasis_of_projector():
+    d = dynamic_from_generator(X, 2)
+    W, labels = d.spectrum.eigenbasis
+    assert W.shape == (2, 2) and labels.tolist() == [0, 1]
+    plus = np.array([1, 1]) / np.sqrt(2)
+    assert np.allclose(np.abs(W[:, 0] @ plus), 1.0)
+    with pytest.raises(ValueError):
+        W[0, 0] = 0.0
+    empty = ProjectionSpectrum(N=2, dim=3, projectors=np.zeros((2, 3, 3), dtype=complex))
+    W, labels = empty.eigenbasis
+    assert W.shape == (3, 0) and labels.shape == (0,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=sizes, dim=st.integers(1, 8), levels=sizes, seed=st.integers(0, 2**32 - 1))
+def test_eigenbasis_spans_each_level(N, dim, levels, seed):
+    # eigenphases among the first few labels make degenerate levels common
+    rng = np.random.default_rng(seed)
+    v = sampling.haar_unitary(dim, rng)
+    phases = np.exp(2j * np.pi * rng.integers(0, min(levels, N), size=dim) / N)
+    spec = dynamic_from_generator((v * phases) @ np.conj(v.T), N).spectrum
+    W, labels = spec.eigenbasis
+    assert labels.tolist() == [E for E, r in spec.ranks.items() for _ in range(r)]
+    for E, rank in spec.ranks.items():
+        w = W[:, labels == E]
+        assert np.max(np.abs(np.conj(w.T) @ w - np.eye(rank))) <= 1e-12
+        assert np.max(np.abs(spec.projectors[E] @ w - w)) <= 1e-12
+        if rank == 1:
+            assert np.array_equal(w[:, 0], rank1_eigvec(spec.projectors[E]))
+
+
+def test_eigenbasis_of_stacks_that_are_no_dynamic():
+    # [Z, X] at N=2 has two rank-1 levels that do not commute; a level whose
+    # rounded trace overstates its range ends at its last nonzero residual
+    stack = UnitaryDynamic(N=2, dim=2, unitaries=np.stack([Z, X])).spectrum
+    overstated = ProjectionSpectrum(
+        N=1, dim=2, projectors=np.array([[[1.3, 0], [0, 0]]], dtype=complex)
+    )
+    assert overstated.ranks == {0: 2}
+    for spec, columns in ((stack, 2), (overstated, 1)):
+        W, labels = spec.eigenbasis
+        assert W.shape == (2, columns) and np.isfinite(W).all()
+        assert np.allclose(np.linalg.norm(W, axis=0), 1.0)
 
 
 def test_spectrum_invariants_random_family(random_family):

@@ -14,13 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import X, Z, phase_matrix, shift_matrix
+from conftest import X, Z, constant_dynamic, phase_matrix, shift_matrix
 from qclock import dynamics, histories, observables, sampling
 from qclock.dynamics import (
     UnitaryDynamic,
     _action_certificate,
     _action_sweep,
-    constant_dynamic,
     dynamic_from_generator,
     hamiltonian,
     validate_dynamic,

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import X
-from qclock.dynamics import clock_dynamic, constant_dynamic, dynamic_from_generator
+from conftest import X, clock_dynamic, constant_dynamic
+from qclock.dynamics import dynamic_from_generator
 from qclock.errors import ShapeMismatchError
 from qclock.histories import (
     History,

@@ -3,14 +3,17 @@
 The oracle is each law written as the literal matrix identity on the dense
 structure maps built out from the clock's tables (``dense_maps``), with
 every Kronecker factor (identity legs, the swap map) built out in full.
-The library checks the structure, observable and conundrum laws as
-contractions of the tables themselves, and the dynamic laws by index
-arithmetic mod N, with no table; the oracle reads those on the exact
-clock's tables.  At N <= 8 every reported error must agree with the oracle
-to 1e-12: on the exact clock tables and valid dynamics, where the errors
-vanish, and on inputs the laws reject (tables with complex noise on their
-values, tables with wrong targets, unitary families that are not
-representations of Z/N), where they do not.
+The library checks the structure and conundrum laws as contractions of the
+tables themselves, and the dynamic laws by index arithmetic mod N, with no
+table; the oracle reads those on the exact clock's tables.  At N <= 8
+every reported error must agree with the oracle to 1e-12: on the exact
+clock tables and valid dynamics, where the errors vanish, and on inputs
+the laws reject (tables with complex noise on their values, tables with
+wrong targets, unitary families that are not representations of Z/N),
+where they do not.  The paper's three observable identities have no
+library counterpart: the oracle alone judges the map forms of the energy
+and tick observables (``conftest``), which satisfy them, and noisy maps,
+which do not.
 """
 
 import dataclasses
@@ -20,18 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_maps, swap_map
+from conftest import dense_maps, energy_observable, swap_map, tick_observable
 from qclock import sampling
 from qclock.clock import Table, make_clock, verify_strong_complementarity
 from qclock.dynamics import UnitaryDynamic, hamiltonian, validate_dynamic
-from qclock.observables import (
-    GROUP_FLAVOUR,
-    TIME_FLAVOUR,
-    Observable,
-    observable_checks,
-    observable_from_spectrum,
-    time_observable,
-)
 from qclock.sync import conundrum_check
 
 AGREE = 1e-12
@@ -77,10 +72,10 @@ def wrong_clocks(N: int) -> dict[str, object]:
     }
 
 
-def valid_observable(flavour: str, cs, rng, dim: int = 3) -> Observable:
-    if flavour == TIME_FLAVOUR:
-        return time_observable(cs)
-    return observable_from_spectrum(hamiltonian(sampling.random_dynamic(cs.N, dim, rng)))
+def valid_observable(flavour: str, cs, rng, dim: int = 3) -> np.ndarray:
+    if flavour == "time-structure":
+        return tick_observable(cs)
+    return energy_observable(sampling.random_dynamic(cs.N, dim, rng))
 
 
 def unitary_family(N: int, dim: int, rng) -> UnitaryDynamic:
@@ -151,21 +146,25 @@ def oracle_dynamic_laws(d, cs) -> dict[str, float]:
     }
 
 
-def oracle_observable_laws(o, cs) -> dict[str, float]:
-    cs = dense_maps(cs)
-    blocks = np.transpose(o.map.reshape(o.dim, o.N, o.dim), (1, 0, 2))
-    if o.flavour == GROUP_FLAVOUR:
+def oracle_observable_laws(m: np.ndarray, flavour: str, cs) -> dict[str, float]:
+    """Self-adjointness, idempotence and completeness of a map H -> H (x) T, row h N + t.
+
+    The flavour names the labelling structure: "group-structure" (the
+    addition's adjoints, with time inversion as the bend) for energy
+    observables, "time-structure" (the copy and delete maps) for ticks.
+    """
+    N, dim, cs = cs.N, m.shape[1], dense_maps(cs)
+    blocks = np.transpose(m.reshape(dim, N, dim), (1, 0, 2))
+    if flavour == "group-structure":
         comult, counit = cs.group_comult, cs.group_counit
-        bent = blocks[-np.arange(o.N) % o.N]
+        bent = blocks[-np.arange(N) % N]
     else:
         comult, counit, bent = cs.time_copy, cs.time_delete, blocks
-    eye_h, eye_t = np.eye(o.dim), np.eye(o.N)
+    eye_h, eye_t = np.eye(dim), np.eye(N)
     return {
         "self_adjointness": err(bent, np.conj(np.transpose(blocks, (0, 2, 1)))),
-        "idempotence": err(
-            np.kron(o.map, eye_t) @ o.map, np.kron(eye_h, comult) @ o.map
-        ),
-        "completeness": err(np.kron(eye_h, counit) @ o.map, eye_h),
+        "idempotence": err(np.kron(m, eye_t) @ m, np.kron(eye_h, comult) @ m),
+        "completeness": err(np.kron(eye_h, counit) @ m, eye_h),
     }
 
 
@@ -242,31 +241,30 @@ def test_dynamic_laws_agree_on_rejected_inputs():
             assert_agrees(validate_dynamic(d), oracle, nonzero=True)
 
 
+OBSERVABLE_SIZES = range(1, 7)
+
+
 def test_observable_laws_agree_on_valid_observables():
     rng = np.random.default_rng(11)
-    for N in SIZES:
+    for N in OBSERVABLE_SIZES:
         cs = make_clock(N)
-        for o in [valid_observable(TIME_FLAVOUR, cs, rng)] + [
-            valid_observable(GROUP_FLAVOUR, cs, rng, dim) for dim in (1, 3)
-        ]:
-            oracle = oracle_observable_laws(o, cs)
-            assert max(oracle.values()) < 1e-12
-            assert_agrees(observable_checks(o, cs), oracle)
+        for flavour, dim in [("time-structure", 3), ("group-structure", 1), ("group-structure", 3)]:
+            m = valid_observable(flavour, cs, rng, dim)
+            assert max(oracle_observable_laws(m, flavour, cs).values()) < 1e-12
 
 
-@pytest.mark.parametrize("flavour", [GROUP_FLAVOUR, TIME_FLAVOUR])
+@pytest.mark.parametrize("flavour", ["group-structure", "time-structure"])
 def test_observable_laws_agree_on_rejected_inputs(flavour):
     rng = np.random.default_rng(13)
-    for N in range(2, 9):
-        dim = 3
-        o = Observable(N, dim, noisy(np.zeros((dim * N, dim)), rng, 1.0), flavour)
+    for N in OBSERVABLE_SIZES[1:]:
         cs = make_clock(N)
-        assert_agrees(observable_checks(o, cs), oracle_observable_laws(o, cs), nonzero=True)
-        o = valid_observable(flavour, cs, rng)
-        noisy_cs = perturbed_clock(N, rng)
-        oracle = oracle_observable_laws(o, noisy_cs)
-        del oracle["self_adjointness"]  # uses no structure map
-        assert_agrees(observable_checks(o, noisy_cs), oracle, nonzero=True)
+        noise = noisy(np.zeros((3 * N, 3)), rng, 1.0)
+        assert min(oracle_observable_laws(noise, flavour, cs).values()) > 1e-3
+        # a valid map judged on noisy tables; self-adjointness uses no structure map
+        m = valid_observable(flavour, cs, rng)
+        laws = oracle_observable_laws(m, flavour, perturbed_clock(N, rng))
+        assert laws["self_adjointness"] < 1e-12
+        assert min(laws["idempotence"], laws["completeness"]) > 1e-3
 
 
 def test_conundrum_agrees_with_kronecker_commutators():
@@ -323,8 +321,3 @@ def test_every_law_agrees_on_one_corrupted_table(N, name, kind, seed):
     for dim in (1, 2):
         d = sampling.random_dynamic(N, dim, rng)
         assert_agrees(conundrum_check(d, cs), oracle_conundrum(d, cs))
-    for o in (
-        valid_observable(TIME_FLAVOUR, cs, rng),
-        valid_observable(GROUP_FLAVOUR, cs, rng, 2),
-    ):
-        assert_agrees(observable_checks(o, cs), oracle_observable_laws(o, cs))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import dagger, tensor
 from qclock import linalg
 from qclock.errors import DimensionCapError, ShapeMismatchError
-from qclock.linalg import Tolerance, max_abs_diff, orthonormal_range, unitarity_residual
+from qclock.linalg import Tolerance, max_abs_diff, unitarity_residual
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -127,11 +127,3 @@ def test_tensor_associative_within_rounding(a, b, c):
 def test_dagger_distributes_over_tensor_exactly(a, b):
     assert np.array_equal(dagger(tensor(a, b)), tensor(dagger(a), dagger(b)))
 
-
-def test_orthonormal_range_of_projector():
-    v = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    p = np.outer(v, v.conj())
-    q = orthonormal_range(p)
-    assert q.shape == (2, 1)
-    assert np.allclose(np.abs(q[:, 0] @ v.conj()), 1.0)
-    assert orthonormal_range(np.zeros((3, 3))).shape == (3, 0)

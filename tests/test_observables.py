@@ -1,117 +1,117 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import X, Z, character_vector, count_spectra, dense_maps, phase_matrix, shift_matrix
-from qclock import observables
-from qclock.clock import make_clock
-from qclock.dynamics import (
-    ProjectionSpectrum,
-    UnitaryDynamic,
+from conftest import (
+    X,
+    Z,
+    character_matrix,
+    character_vector,
     clock_dynamic,
     constant_dynamic,
-    dynamic_from_generator,
-    hamiltonian,
+    count_spectra,
+    dense_maps,
+    energy_observable,
+    outcome_weights,
+    phase_matrix,
+    shift_matrix,
+    tick_observable,
 )
-from qclock.errors import (
-    DistributionError,
-    IncompleteSpectrumError,
-    NotNormalisedError,
-)
-from qclock.observables import (
-    GROUP_FLAVOUR,
-    TIME_FLAVOUR,
-    demolition_measurement,
-    observable_checks,
-    observable_from_spectrum,
-    time_observable,
-    uncertainty_check,
-    weyl_ccr_check,
-)
+from test_law_oracle import oracle_observable_laws
+from qclock import observables, sampling
+from qclock.clock import make_clock
+from qclock.dynamics import UnitaryDynamic, dynamic_from_generator
+from qclock.errors import IncompleteSpectrumError
+from qclock.observables import uncertainty_check, weyl_ccr_check
 
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
 
 
+def energy_weights(d, psi) -> np.ndarray:
+    """p_E = |<x_E|psi>|^2 summed over the columns of each level of d's eigenbasis."""
+    W, labels = d.spectrum.eigenbasis
+    return np.bincount(labels, np.abs(np.conj(W.T) @ psi) ** 2, minlength=d.N)
+
+
 def test_energy_observable_of_x_dynamic_on_eigenbasis():
-    obs = observable_from_spectrum(hamiltonian(dynamic_from_generator(X, 2)))
-    assert obs.flavour == GROUP_FLAVOUR
+    d = dynamic_from_generator(X, 2)
+    W, labels = d.spectrum.eigenbasis
+    assert labels.tolist() == [0, 1]
+    assert np.allclose(W, np.column_stack([PLUS, MINUS]))
     # |+> carries the flat label column, |-> the alternating one
-    assert np.allclose((obs.map @ PLUS).reshape(2, 2), np.outer(PLUS, [1, 1]))
-    assert np.allclose((obs.map @ MINUS).reshape(2, 2), np.outer(MINUS, [1, -1]))
+    obs = energy_observable(d)
+    assert np.allclose((obs @ W[:, 0]).reshape(2, 2), np.outer(PLUS, [1, 1]))
+    assert np.allclose((obs @ W[:, 1]).reshape(2, 2), np.outer(MINUS, [1, -1]))
 
 
 def test_energy_observable_of_trivial_spectrum():
-    obs = observable_from_spectrum(hamiltonian(constant_dynamic(2, 2)))
+    obs = energy_observable(constant_dynamic(2, 2))
     psi = np.array([0.6, 0.8j])
-    assert np.allclose((obs.map @ psi).reshape(2, 2), np.outer(psi, [1, 1]))
+    assert np.allclose((obs @ psi).reshape(2, 2), np.outer(psi, [1, 1]))
 
 
 def test_clock_energy_observable_is_group_comult():
     cs = make_clock(3)
-    obs = observable_from_spectrum(hamiltonian(clock_dynamic(3)))
-    assert np.max(np.abs(obs.map - dense_maps(cs).group_comult)) < 1e-12
+    obs = energy_observable(clock_dynamic(3))
+    assert np.max(np.abs(obs - dense_maps(cs).group_comult)) < 1e-12
 
 
 def test_incomplete_spectrum_rejected():
-    spec = hamiltonian(dynamic_from_generator(X, 2))
-    broken = ProjectionSpectrum(
-        N=2, dim=2, projectors=np.stack([spec.projectors[0], np.zeros((2, 2))])
-    )
+    # sum_E P_E = U_0, here the projector onto |+>
+    stack = np.stack([np.outer(PLUS, PLUS), X])
+    broken = UnitaryDynamic(N=2, dim=2, unitaries=stack)
     with pytest.raises(IncompleteSpectrumError):
-        observable_from_spectrum(broken)
+        uncertainty_check(broken, dynamic_from_generator(Z, 2))
 
 
 def test_time_observable_copies_basis():
     cs = make_clock(3)
-    obs = time_observable(cs)
-    assert obs.flavour == TIME_FLAVOUR
+    obs = tick_observable(cs)
     e2 = np.array([0, 0, 1], dtype=complex)
-    assert np.allclose(obs.map @ e2, np.kron(e2, e2))
+    assert np.allclose(obs @ e2, np.kron(e2, e2))
     sup = np.array([1, 1, 0], dtype=complex)
-    assert np.allclose(obs.map @ sup, np.kron([1, 0, 0], [1, 0, 0]) + np.kron([0, 1, 0], [0, 1, 0]))
+    assert np.allclose(obs @ sup, np.kron([1, 0, 0], [1, 0, 0]) + np.kron([0, 1, 0], [0, 1, 0]))
 
 
 def test_observable_identities_for_clock_structures():
     cs = make_clock(4)
-    assert observable_checks(time_observable(cs), cs).passed
-    obs = observable_from_spectrum(hamiltonian(clock_dynamic(4)))
-    assert observable_checks(obs, cs).passed
+    for m, flavour in [
+        (tick_observable(cs), "time-structure"),
+        (energy_observable(clock_dynamic(4)), "group-structure"),
+    ]:
+        assert max(oracle_observable_laws(m, flavour, cs).values()) < 1e-12
 
 
 def test_observable_identities_random_family(random_family):
     for d, _ in random_family:
-        obs = observable_from_spectrum(hamiltonian(d))
-        report = observable_checks(obs, make_clock(d.N), 1e-8)
-        assert report.passed, report.summary()
+        laws = oracle_observable_laws(energy_observable(d), "group-structure", make_clock(d.N))
+        assert max(laws.values()) < 1e-8, laws
 
 
 def test_demolition_basis_state_in_time_basis():
-    obs = time_observable(make_clock(2))
-    assert np.allclose(demolition_measurement(obs, [1, 0]), [1, 0])
+    obs = tick_observable(make_clock(2))
+    assert np.allclose(outcome_weights(obs, [1, 0], energy=False), [1, 0])
 
 
 def test_demolition_superposition_in_time_basis():
-    obs = time_observable(make_clock(2))
-    assert np.allclose(demolition_measurement(obs, PLUS), [0.5, 0.5])
+    obs = tick_observable(make_clock(2))
+    assert np.allclose(outcome_weights(obs, PLUS, energy=False), [0.5, 0.5])
 
 
 def test_demolition_energy_weights_of_x_dynamic():
-    obs = observable_from_spectrum(hamiltonian(dynamic_from_generator(X, 2)))
-    assert np.allclose(demolition_measurement(obs, [1, 0]), [0.5, 0.5])
-
-
-def test_demolition_requires_normalised_state():
-    obs = time_observable(make_clock(2))
-    with pytest.raises(NotNormalisedError):
-        demolition_measurement(obs, [1, 1])
+    d = dynamic_from_generator(X, 2)
+    assert np.allclose(energy_weights(d, np.array([1, 0])), [0.5, 0.5])
 
 
 def test_demolition_distributions_are_genuine(random_family):
+    # the eigenbasis weights are the map form's, so every level is spanned in full
     for d, psi in random_family[:20]:
-        obs = observable_from_spectrum(hamiltonian(d))
-        w = demolition_measurement(obs, psi)
+        w = energy_weights(d, psi)
         assert np.all(w >= 0)
         assert abs(w.sum() - 1) < 1e-9
+        assert np.max(np.abs(w - outcome_weights(energy_observable(d), psi, energy=True))) < 1e-12
 
 
 def test_weyl_two_level_pair():
@@ -167,30 +167,18 @@ def test_character_states_unbiased_in_time_basis():
     # eigenstates of the shift are the (conjugate) characters; their tick
     # distribution is uniform
     N = 4
-    cs = make_clock(N)
-    tobs = time_observable(cs)
+    W, _ = clock_dynamic(N).spectrum.eigenbasis
+    assert np.allclose(np.abs(W) ** 2, 1 / N)
+    tobs = tick_observable(make_clock(N))
     for E in range(N):
         chi = character_vector(N, E) / np.sqrt(N)
-        assert np.allclose(demolition_measurement(tobs, chi), np.full(N, 1 / N))
+        assert np.allclose(outcome_weights(tobs, chi, energy=False), np.full(N, 1 / N))
 
 
 def test_plus_minus_unbiased_in_computational_basis():
-    cs = make_clock(2)
-    tobs = time_observable(cs)
+    tobs = tick_observable(make_clock(2))
     for state in (PLUS, MINUS):
-        assert np.allclose(demolition_measurement(tobs, state), [0.5, 0.5])
-
-
-def test_negative_weight_detection():
-    from qclock.observables import Observable
-
-    # flip the sign of the E=1 block: weight at 1 becomes -<psi|P_1|psi>
-    p_plus = np.array([[0.5, 0.5], [0.5, 0.5]])
-    p_minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
-    bad_map = np.kron(p_plus, [[1], [1]]) - np.kron(p_minus, [[1], [-1]])
-    bad = Observable(N=2, dim=2, map=bad_map.astype(complex), flavour=GROUP_FLAVOUR)
-    with pytest.raises(DistributionError):
-        demolition_measurement(bad, [1, 0])
+        assert np.allclose(outcome_weights(tobs, state, energy=False), [0.5, 0.5])
 
 
 def test_unbiasedness_computes_each_spectrum_once(monkeypatch):
@@ -229,3 +217,120 @@ def test_uncertainty_needs_no_clock_structures(monkeypatch):
     monkeypatch.setattr(observables, "_weyl_sweep", lambda *a: sweeps.append(1) or sweep(*a))
     assert uncertainty_check(dU, dV).passed
     assert sweeps == []
+
+
+def test_degenerate_bias_is_reported_in_full():
+    # the shift against diag(1, 1, -1, -1) is a Weyl pair on the labels V has,
+    # but for every E each rank-2 level of V holds a unit vector of weight 1/2
+    # at E and one of weight 0, both 1/4 off 1/N
+    N = 4
+    dU = dynamic_from_generator(shift_matrix(N), N)
+    dV = dynamic_from_generator(np.diag([1, 1, -1, -1]).astype(complex), N)
+    report = uncertainty_check(dU, dV)
+    assert report.check("weyl_precondition").passed
+    assert [c.name for c in report.checks[1:]] == ["uniformity_label_0", "uniformity_label_2"]
+    for c in report.checks[1:]:
+        assert abs(c.max_error - 0.25) <= 1e-15
+    assert not report.passed
+
+
+def test_a_label_outside_the_support_reads_one_over_n():
+    # U has labels 0, 1, 2 of Z/4, and each eigenvector of V (the 3-point
+    # Fourier basis) weighs 1/3 on each: 1/12 off 1/N there, 1/4 at label 3
+    N, f = 4, np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+    dU = dynamic_from_generator(np.diag(1j ** np.arange(3)), N)
+    dV = dynamic_from_generator(f @ np.diag(1j ** np.arange(3)) @ np.conj(f.T), N)
+    report = uncertainty_check(dU, dV)
+    assert [c.max_error for c in report.checks[1:]] == [0.25] * 3
+    assert not report.passed
+
+
+def test_levels_short_of_their_rank_fail():
+    # stacks that are no dynamic: a level whose rounded trace overstates its
+    # range, and a supported level of rank 0, have no full eigenbasis to judge
+    dU = constant_dynamic(1, 2)
+    for level in ([[1.3, 0], [0, 0]], [[1e-4, 0], [0, 0]]):
+        dV = UnitaryDynamic(N=1, dim=2, unitaries=np.array([level], dtype=complex))
+        assert uncertainty_check(dU, dV).check("uniformity_label_0").max_error == 1.0
+
+
+def oracle_uniformity(dU, dV) -> list[float]:
+    """Per V label F: max over E and unit phi in the F eigenspace of |<phi|P_E|phi> - 1/N|.
+
+    The F eigenspace is the range of the character sum for P_F (eigh); P_E is
+    read off the map form sum_t U_t^dag (x) |t> of dU as
+    (1/N) sum_t chi_E(t) U_t^dag, and each restriction's eigenvalues are
+    taken by eigvalsh.
+    """
+    N, dim = dU.N, dU.dim
+    chars = character_matrix(N)  # chars[t, E]
+    blocks = energy_observable(dU).reshape(dim, N, dim).transpose(1, 0, 2)  # U_t^dag
+    p_u = np.tensordot(chars.T, blocks, axes=1) / N
+    p_v = np.tensordot(chars.conj().T, dV.unitaries, axes=1) / N
+    out = []
+    for F in dV.spectrum.ranks:
+        vals, vecs = np.linalg.eigh((p_v[F] + np.conj(p_v[F].T)) / 2)
+        q = vecs[:, vals > 0.5]
+        restricted = np.conj(q.T) @ p_u @ q - np.eye(q.shape[1]) / N
+        out.append(float(np.abs(np.linalg.eigvalsh(restricted)).max()))
+    return out
+
+
+def random_pair(N: int, dim: int, levels: int, rng):
+    """Two dynamics whose eigenphases lie among the first ``levels`` labels: often degenerate."""
+    pair = []
+    for _ in range(2):
+        v = sampling.haar_unitary(dim, rng)
+        phases = np.exp(2j * np.pi * rng.integers(0, levels, size=dim) / N)
+        pair.append(dynamic_from_generator((v * phases) @ np.conj(v.T), N))
+    return pair
+
+
+def weyl_pair(N: int, rng):
+    """The shift/phase pair conjugated by one Haar unitary."""
+    v = sampling.haar_unitary(N, rng)
+    return [
+        dynamic_from_generator(v @ m @ np.conj(v.T), N) for m in (shift_matrix(N), phase_matrix(N))
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(1, 16),
+    dim=st.integers(1, 6),
+    levels=st.integers(1, 16),
+    weyl=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_uniformity_agrees_with_the_map_form(N, dim, levels, weyl, seed):
+    rng = np.random.default_rng(seed)
+    dU, dV = weyl_pair(N, rng) if weyl else random_pair(N, dim, min(levels, N), rng)
+    report = uncertainty_check(dU, dV)
+    got = [c.max_error for c in report.checks[1:]]
+    assert [c.name for c in report.checks[1:]] == [
+        f"uniformity_label_{F}" for F in dV.spectrum.ranks
+    ]
+    assert np.max(np.abs(np.subtract(got, oracle_uniformity(dU, dV))), initial=0.0) <= 1e-12
+    if weyl:
+        assert report.passed, report.summary()
+
+
+def test_uniformity_reads_the_kept_eigenbases(monkeypatch):
+    # with both spectra kept, no FFT rebuilds an observable map and no random
+    # representative is drawn; a second call reuses the eigenbases
+    N = 6
+    dU, dV = weyl_pair(N, np.random.default_rng(5))
+    assert dU.spectrum.support and dV.spectrum.support
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called")
+
+    for module in (np.fft, np.random):
+        for name in dir(module):
+            if not name.startswith("_") and callable(getattr(module, name)):
+                monkeypatch.setattr(module, name, forbidden)
+    first = uncertainty_check(dU, dV)
+    bases = (dU.spectrum.eigenbasis, dV.spectrum.eigenbasis)
+    second = uncertainty_check(dU, dV)
+    assert first.passed and second.as_dict() == first.as_dict()
+    assert dU.spectrum.eigenbasis is bases[0] and dV.spectrum.eigenbasis is bases[1]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import character_matrix
+from conftest import character_matrix, energy_observable, outcome_weights
 from qclock import linalg, sampling
 from qclock.dynamics import (
     SUPPORT_THRESHOLD,
@@ -27,7 +27,6 @@ from qclock.dynamics import (
 )
 from qclock.histories import reconstruct_history, schrodinger_solve
 from qclock.linalg import identity
-from qclock.observables import demolition_measurement, observable_from_spectrum
 
 EPS = 1e-9
 AGREE = 1e-12
@@ -126,18 +125,19 @@ def test_fourier_pair_and_resums_match_character_matrix():
 
 
 def test_energy_observable_and_weights_match_character_matrix():
+    # the map sum_t U_t^dag (x) |t> is sum_E P_E (x) conj(chi_E), and the
+    # eigenbasis weights |<x_E|psi>|^2 are the <psi|P_E|psi> it measures
     rng = np.random.default_rng(11)
     for d in small_dynamics():
         spec = hamiltonian(d)
         chars = character_matrix(d.N)
-        obs = observable_from_spectrum(spec)
+        obs = energy_observable(d)
         want = np.einsum("ehk,te->htk", spec.projectors, chars.conj())
-        assert np.max(np.abs(obs.map - want.reshape(d.dim * d.N, d.dim))) <= AGREE
+        assert np.max(np.abs(obs - want.reshape(d.dim * d.N, d.dim))) <= AGREE
         psi = sampling.random_state(d.dim, rng)
-        clock_leg = psi.conj() @ (obs.map @ psi).reshape(d.dim, d.N)
-        weights = (chars.T @ clock_leg / d.N).real
-        got = demolition_measurement(obs, psi)
-        assert np.max(np.abs(got - np.clip(weights, 0.0, None))) <= AGREE
+        W, labels = spec.eigenbasis
+        got = np.bincount(labels, np.abs(np.conj(W.T) @ psi) ** 2, minlength=d.N)
+        assert np.max(np.abs(got - outcome_weights(obs, psi, energy=True))) <= AGREE
 
 
 @settings(max_examples=60, deadline=None)

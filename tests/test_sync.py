@@ -3,14 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import X, count_spectra
+from conftest import X, clock_dynamic, constant_dynamic, count_spectra, is_nondegenerate
 from test_sync_oracle import collapse
 from qclock import sync
 from qclock import sampling
 from qclock.clock import make_clock
 from qclock.dynamics import (
-    clock_dynamic,
-    constant_dynamic,
     dynamic_from_generator,
     hamiltonian,
     validate_dynamic,
@@ -31,7 +29,6 @@ from qclock.sync import (
     dynamic_descent,
     internal_time_check,
     internal_time_observable,
-    is_nondegenerate,
     synchronized_family,
     synchronized_pair,
 )
